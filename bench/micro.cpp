@@ -218,11 +218,12 @@ BENCHMARK(BM_EftfAllocate)->Arg(10)->Arg(33)->Arg(100)->Arg(300);
 void BM_RecomputeServer(benchmark::State& state) {
   // The engine's per-event hot loop (VodSimulation::recompute_server),
   // replicated through public APIs: advance every active request on a
-  // server, reallocate with EFTF, and reschedule predicted events for
-  // requests whose rate changed (exact-compare fast path). Arg 0 is the
-  // active-stream count; arg 1 selects saturated (slack 0 — the paper's
-  // interesting operating point, where the eligible sort is skipped) vs.
-  // slack (workahead flowing).
+  // server, reallocate with EFTF, store the predictions of requests whose
+  // rate changed (exact-compare fast path) in the server's lane, and re-key
+  // the server's one predicted-event timer. Arg 0 is the active-stream
+  // count; arg 1 selects saturated (slack 0 — the paper's interesting
+  // operating point, where the eligible sort is skipped) vs. slack
+  // (workahead flowing).
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool saturated = state.range(1) != 0;
   Rng rng(5);
@@ -233,8 +234,10 @@ void BM_RecomputeServer(benchmark::State& state) {
   // 20% staging buffer of the video size, 30 Mb/s receive cap (fig5/fig7
   // client settings).
   ClientProfile client{0.2 * video.size(), 30.0};
+  const Mbps capacity =
+      saturated ? 3.0 * static_cast<double>(n) : 3.0 * static_cast<double>(n) + 60.0;
+  Server server(0, capacity, 1e12);
   std::vector<std::unique_ptr<Request>> owner;
-  std::vector<Request*> active;
   for (std::size_t i = 0; i < n; ++i) {
     owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
                                               0.0, client));
@@ -242,13 +245,13 @@ void BM_RecomputeServer(benchmark::State& state) {
     request.begin_streaming(0.0, 0);
     request.set_allocation(0.0, 3.0);
     request.advance(rng.uniform(1.0, 600.0));
-    request.active_index = i;  // cache seeding keys off this (finish_order.h)
-    active.push_back(&request);
+    server.attach(request);  // slot i; cache seeding keys off active_index
   }
-  const Mbps capacity =
-      saturated ? 3.0 * static_cast<double>(n) : 3.0 * static_cast<double>(n) + 60.0;
+  const std::vector<Request*>& active = server.active_requests();
+  FluidLane& lane = server.lane();
   EftfScheduler scheduler;
   EventQueue queue;
+  EventId timer = kInvalidEventId;
   std::vector<Mbps> rates;
   AllocationScratch scratch;
   SchedCache cache;
@@ -261,32 +264,36 @@ void BM_RecomputeServer(benchmark::State& state) {
       Request& request = *active[i];
       if (rates[i] == request.allocation()) continue;
       request.set_allocation(t, rates[i]);
-      // Engine pattern (reschedule_predicted_events): retime live
-      // predictions in place, fall back to cancel + schedule only when the
-      // prediction appears or disappears.
+      // Engine pattern (apply_predicted_times): one seq per kept
+      // prediction, stored in the stream's lane slot.
       if (rates[i] > 0.0) {
-        const Seconds when = t + request.remaining() / rates[i];
-        if (!queue.reschedule(request.tx_complete_event, when)) {
-          request.tx_complete_event = queue.schedule(when, [](Seconds) {});
-        }
+        lane.set_prediction(
+            i, Prediction::kTxComplete,
+            EventKey{t + request.remaining() / rates[i], queue.draw_seq()});
       } else {
-        queue.cancel(request.tx_complete_event);
-        request.tx_complete_event = kInvalidEventId;
+        lane.clear_prediction(i, Prediction::kTxComplete);
       }
       const Mbps surplus = rates[i] - request.drain_rate(t);
       if (surplus > 1e-12 && !request.buffer_full()) {
-        const Seconds when = t + request.buffer_headroom() / surplus;
-        if (!queue.reschedule(request.buffer_full_event, when)) {
-          request.buffer_full_event = queue.schedule(when, [](Seconds) {});
-        }
+        lane.set_prediction(
+            i, Prediction::kBufferFull,
+            EventKey{t + request.buffer_headroom() / surplus, queue.draw_seq()});
       } else {
-        queue.cancel(request.buffer_full_event);
-        request.buffer_full_event = kInvalidEventId;
+        lane.clear_prediction(i, Prediction::kBufferFull);
       }
+    }
+    // Engine pattern (sync_server_timer): the server's one queue entry
+    // follows the lane minimum.
+    const EarliestPrediction& next = lane.earliest_prediction();
+    if (!next.live()) {
+      queue.cancel(timer);
+      timer = kInvalidEventId;
+    } else if (!queue.rekey(timer, next.key)) {
+      timer = queue.schedule_keyed(next.key, [](Seconds) {});
     }
   };
 
-  recompute(now);  // warm: initial allocations + predicted events
+  recompute(now);  // warm: initial allocations + predictions
   const std::uint64_t allocs_before = heap_allocs();
   for (auto _ : state) {
     now += 1e-4;  // small fluid step keeps the population in steady state

@@ -1,6 +1,7 @@
 #include "vodsim/check/invariant_auditor.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "vodsim/cluster/request.h"
@@ -143,6 +144,44 @@ void InvariantAuditor::check_server(const Server& server,
   }
 }
 
+void InvariantAuditor::check_predicted_timer(const Server& server,
+                                             const EventKey* timer,
+                                             Seconds now) {
+  constexpr Seconds kNone = std::numeric_limits<Seconds>::infinity();
+  const FluidLane& lane = server.lane();
+  EventKey earliest{kNone, 0};
+  for (std::size_t i = 0; i < lane.size(); ++i) {
+    for (std::size_t k = 0; k < kPredictionKinds; ++k) {
+      const EventKey key = lane.prediction(i, static_cast<Prediction>(k));
+      if (key.time == kNone) continue;
+      if (key.time < now) {
+        std::ostringstream d;
+        d << "server " << server.id() << " slot " << i << " prediction " << k
+          << " at " << key.time << ", now " << now;
+        fail("no live prediction lies in the past", d);
+      }
+      if (key < earliest) earliest = key;
+    }
+  }
+  const bool live = earliest.time != kNone;
+  if (live != (timer != nullptr) || (live && *timer != earliest)) {
+    std::ostringstream d;
+    d << "server " << server.id() << ": lane minimum ";
+    if (live) {
+      d << "(" << earliest.time << ", seq " << earliest.seq << ")";
+    } else {
+      d << "none";
+    }
+    d << ", timer ";
+    if (timer != nullptr) {
+      d << "(" << timer->time << ", seq " << timer->seq << ")";
+    } else {
+      d << "unarmed";
+    }
+    fail("the server timer carries the lane's earliest prediction", d);
+  }
+}
+
 void InvariantAuditor::on_event() {
   const Seconds now = sim_.simulator().now();
   if (now + 1e-9 < last_event_time_) {
@@ -169,6 +208,9 @@ void InvariantAuditor::on_event() {
     last_epochs_[i] = epoch;
 
     check_server(server, expect);
+    EventKey timer{};
+    const bool armed = sim_.predicted_timer_key(server.id(), timer);
+    check_predicted_timer(server, armed ? &timer : nullptr, now);
     for (const Request* request : server.active_requests()) {
       // Same named bound the mutators assert (util/units.h): the SoA fast
       // path cannot widen the fluid-clock tolerance without failing here.

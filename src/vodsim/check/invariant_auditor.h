@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "vodsim/des/event_queue.h"
 #include "vodsim/util/units.h"
 
 namespace vodsim {
@@ -90,6 +91,14 @@ class InvariantAuditor {
   /// [0, receive cap], buffer level within [0, capacity], remaining >= 0.
   static void check_request(const Request& request, const Server& server,
                             std::size_t index_on_server);
+
+  /// Validates one server's predicted-event timer (DESIGN.md §8): no live
+  /// prediction in the lane lies before \p now, and \p timer (nullptr when
+  /// none is armed) is armed exactly when a prediction is live, keyed by
+  /// the minimum (time, seq) over the lane — found here by a full scan, not
+  /// read from the lane's cached argmin.
+  static void check_predicted_timer(const Server& server, const EventKey* timer,
+                                    Seconds now);
 
   /// Absolute tolerance on bandwidth sums (Mb/s) and buffer levels (Mb):
   /// generous against accumulated float error, far below one stream's rate.

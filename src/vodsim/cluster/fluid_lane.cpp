@@ -1,6 +1,7 @@
 #include "vodsim/cluster/fluid_lane.h"
 
 #include <cassert>
+#include <cstring>
 #include <limits>
 
 #include "vodsim/cluster/request.h"
@@ -184,44 +185,26 @@ FluidLane& FluidLane::operator=(const FluidLane& other) {
   if (this == &other) return *this;
   size_ = 0;  // nothing to preserve; grow copies only size_ slots
   if (other.size_ > capacity_) grow(other.size_);
-  const double* const src[kArrays] = {
-      other.last_update_, other.remaining_,      other.buffer_level_,
-      other.allocation_,  other.buffer_capacity_, other.view_bandwidth_,
-      other.arrival_,     other.playback_end_,    other.playing_,
-      other.receive_bandwidth_};
-  double* const dst[kArrays] = {
-      last_update_, remaining_,      buffer_level_, allocation_,
-      buffer_capacity_, view_bandwidth_, arrival_,  playback_end_,
-      playing_,     receive_bandwidth_};
-  for (std::size_t k = 0; k < kArrays; ++k) {
-    if (other.size_ > 0) std::copy(src[k], src[k] + other.size_, dst[k]);
+  // Every array is 8-byte elements at stride capacity_, so arrays copy as
+  // bytes whatever their element type.
+  for (std::size_t k = 0; k < kArrays && other.size_ > 0; ++k) {
+    std::memcpy(storage_.get() + k * capacity_ * 8,
+                other.storage_.get() + k * other.capacity_ * 8,
+                other.size_ * 8);
   }
   size_ = other.size_;
+  std::copy(other.live_, other.live_ + kPredictionKinds, live_);
+  earliest_ = other.earliest_;
+  bound_ = other.bound_;
+  stale_ = other.stale_;
   return *this;
 }
 
-void FluidLane::grow(std::size_t min_capacity) {
-  std::size_t cap = std::max<std::size_t>(capacity_ * 2, 64);
-  while (cap < min_capacity) cap *= 2;
-  // Stride in whole cache lines: every array starts 64-byte aligned.
-  cap = (cap + 7) & ~static_cast<std::size_t>(7);
-
-  double* const raw = static_cast<double*>(::operator new[](
-      kArrays * cap * sizeof(double), std::align_val_t{64}));
-  std::unique_ptr<double[], AlignedFree> fresh(raw);
-
-  double* const old_views[kArrays] = {
-      last_update_, remaining_,    buffer_level_,   allocation_,
-      buffer_capacity_, view_bandwidth_, arrival_,  playback_end_,
-      playing_,     receive_bandwidth_};
+void FluidLane::bind_views(unsigned char* base, std::size_t capacity) {
   double* views[kArrays];
   for (std::size_t k = 0; k < kArrays; ++k) {
-    views[k] = raw + k * cap;
-    if (size_ > 0) std::copy(old_views[k], old_views[k] + size_, views[k]);
+    views[k] = reinterpret_cast<double*>(base + k * capacity * 8);
   }
-
-  storage_ = std::move(fresh);
-  capacity_ = cap;
   last_update_ = views[0];
   remaining_ = views[1];
   buffer_level_ = views[2];
@@ -232,6 +215,30 @@ void FluidLane::grow(std::size_t min_capacity) {
   playback_end_ = views[7];
   playing_ = views[8];
   receive_bandwidth_ = views[9];
+  for (std::size_t k = 0; k < kPredictionKinds; ++k) {
+    prediction_time_[k] = views[10 + k];
+    prediction_seq_[k] = reinterpret_cast<std::uint64_t*>(
+        base + (10 + kPredictionKinds + k) * capacity * 8);
+  }
+}
+
+void FluidLane::grow(std::size_t min_capacity) {
+  std::size_t cap = std::max<std::size_t>(capacity_ * 2, 64);
+  while (cap < min_capacity) cap *= 2;
+  // Stride in whole cache lines: every array starts 64-byte aligned.
+  cap = (cap + 7) & ~static_cast<std::size_t>(7);
+
+  unsigned char* const raw = static_cast<unsigned char*>(
+      ::operator new[](kArrays * cap * 8, std::align_val_t{64}));
+  std::unique_ptr<unsigned char[], AlignedFree> fresh(raw);
+  for (std::size_t k = 0; k < kArrays && size_ > 0; ++k) {
+    std::memcpy(raw + k * cap * 8, storage_.get() + k * capacity_ * 8,
+                size_ * 8);
+  }
+
+  storage_ = std::move(fresh);
+  capacity_ = cap;
+  bind_views(raw, cap);
 }
 
 void FluidLane::reserve(std::size_t n) {
@@ -251,12 +258,23 @@ void FluidLane::append(const Request& request) {
   playback_end_[i] = request.playback_end();
   playing_[i] = request.viewing_paused() ? 0.0 : 1.0;
   receive_bandwidth_[i] = request.receive_bandwidth();
+  for (std::size_t k = 0; k < kPredictionKinds; ++k) {
+    prediction_time_[k][i] = kNoPrediction;
+    prediction_seq_[k][i] = 0;
+  }
   ++size_;
 }
 
 void FluidLane::swap_remove(std::size_t index) {
   assert(index < size_);
   const std::size_t last = size_ - 1;
+  if (!stale_) {
+    if (earliest_.slot == index) {
+      earliest_.key = EventKey{kNoPrediction, 0};  // leaves with its slot
+    } else if (earliest_.slot == last) {
+      earliest_.slot = index;
+    }
+  }
   last_update_[index] = last_update_[last];
   remaining_[index] = remaining_[last];
   buffer_level_[index] = buffer_level_[last];
@@ -267,7 +285,30 @@ void FluidLane::swap_remove(std::size_t index) {
   playback_end_[index] = playback_end_[last];
   playing_[index] = playing_[last];
   receive_bandwidth_[index] = receive_bandwidth_[last];
+  for (std::size_t k = 0; k < kPredictionKinds; ++k) {
+    if (prediction_time_[k][index] != kNoPrediction) --live_[k];
+    prediction_time_[k][index] = prediction_time_[k][last];
+    prediction_seq_[k][index] = prediction_seq_[k][last];
+  }
   --size_;
+}
+
+void FluidLane::rescan_earliest() {
+  earliest_ = EarliestPrediction{};
+  bound_ = EventKey{kNoPrediction, 0};
+  stale_ = false;
+  for (std::size_t k = 0; k < kPredictionKinds; ++k) {
+    if (live_[k] == 0) continue;
+    const Seconds* const time = prediction_time_[k];
+    const std::uint64_t* const seq = prediction_seq_[k];
+    for (std::size_t i = 0; i < size_; ++i) {
+      // Most keys lie above the bound; dead entries hold +inf, which never
+      // beats it.
+      if (time[i] > bound_.time) continue;
+      offer_earliest(EarliestPrediction{EventKey{time[i], seq[i]}, i,
+                                         static_cast<Prediction>(k)});
+    }
+  }
 }
 
 FluidLane::BatchResult FluidLane::advance_batch(

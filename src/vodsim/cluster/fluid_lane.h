@@ -29,7 +29,17 @@
 /// scattered heap allocations (the "gather tax" the PR 6 SoA split paid).
 /// The hot block leads with the three kernel-mutated arrays (last-update,
 /// remaining, buffer level), then the six kernel-read parameters; the cold
-/// tail holds the receive bandwidth, read only by workahead eligibility.
+/// tail holds the receive bandwidth, read only by workahead eligibility,
+/// and the stored predictions.
+///
+/// Predictions: each slot keeps the engine's three predicted events
+/// (transmission complete, buffer full, buffer low) as event-queue keys
+/// (time, seq), +inf time meaning none. The lane tracks the earliest live
+/// key, which the engine's one timer per server carries (DESIGN.md §8).
+/// It is kept incrementally, with a bound below which no other live key
+/// lies: a new key below the bound becomes the argmin, and the lane is
+/// rescanned only when the argmin was moved later, cleared or removed and
+/// nothing below the bound replaced it.
 ///
 /// Both engine modes use the lane. Exact mode advances streams one at a
 /// time in active order through `advance_one`, which calls the identical
@@ -43,11 +53,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <vector>
 
 #include "vodsim/cluster/client.h"
+#include "vodsim/des/event_queue.h"
 #include "vodsim/util/units.h"
 
 namespace vodsim {
@@ -115,6 +127,22 @@ inline Megabits advance_stream(Seconds now, Seconds& last_update,
 
 }  // namespace fluid_detail
 
+/// The predicted events the engine keeps per stream, in the order their
+/// sequence numbers are drawn.
+enum class Prediction : std::uint8_t { kTxComplete, kBufferFull, kBufferLow };
+inline constexpr std::size_t kPredictionKinds = 3;
+
+/// A lane's earliest live prediction. key.time == +inf means none.
+struct EarliestPrediction {
+  EventKey key{std::numeric_limits<Seconds>::infinity(), 0};
+  std::size_t slot = 0;
+  Prediction kind = Prediction::kTxComplete;
+
+  bool live() const {
+    return key.time != std::numeric_limits<Seconds>::infinity();
+  }
+};
+
 /// Per-server struct-of-arrays fluid state. Slot i belongs to the request
 /// with active_index == i on the owning server.
 class FluidLane {
@@ -137,7 +165,8 @@ class FluidLane {
   void append(const Request& request);
 
   /// Removes slot \p index by swap-with-last, mirroring Server::detach's
-  /// active-list swap so slot order keeps tracking active order.
+  /// active-list swap so slot order keeps tracking active order. The slot's
+  /// predictions go with it.
   void swap_remove(std::size_t index);
 
   // --- per-slot access (slot = Request::active_index) -------------------
@@ -225,24 +254,98 @@ class FluidLane {
                             std::vector<Seconds>& full_at,
                             std::vector<Seconds>& low_at) const;
 
+  // --- predictions (DESIGN.md §8) --------------------------------------
+
+  /// Slot \p i's stored prediction of \p kind; time +inf when none.
+  EventKey prediction(std::size_t i, Prediction kind) const {
+    const auto k = static_cast<std::size_t>(kind);
+    return EventKey{prediction_time_[k][i], prediction_seq_[k][i]};
+  }
+
+  /// Stores a kept prediction. The caller has applied the clock clamp and
+  /// drawn key.seq from the owning event queue.
+  void set_prediction(std::size_t i, Prediction kind, EventKey key) {
+    const auto k = static_cast<std::size_t>(kind);
+    const bool was_live = prediction_time_[k][i] != kNoPrediction;
+    const bool live = key.time != kNoPrediction;
+    if (live && !was_live) ++live_[k];
+    if (was_live && !live) --live_[k];
+    prediction_time_[k][i] = key.time;
+    prediction_seq_[k][i] = key.seq;
+    if (stale_) return;
+    drop_earliest(i, kind);
+    if (live) offer_earliest(EarliestPrediction{key, i, kind});
+  }
+
+  /// Drops slot \p i's prediction of \p kind (no-op when it has none).
+  void clear_prediction(std::size_t i, Prediction kind) {
+    const auto k = static_cast<std::size_t>(kind);
+    if (prediction_time_[k][i] != kNoPrediction) --live_[k];
+    prediction_time_[k][i] = kNoPrediction;
+    if (!stale_) drop_earliest(i, kind);
+  }
+
+  /// Suspends the incremental upkeep until the next earliest_prediction(),
+  /// which then rescans. Cheaper when most of the lane is about to change.
+  void defer_earliest() { stale_ = true; }
+
+  /// The minimum (time, seq) over every live prediction in the lane.
+  /// Rescans only when upkeep was deferred, or when the argmin is gone and
+  /// no key below bound_ has replaced it.
+  const EarliestPrediction& earliest_prediction() {
+    if (stale_ || (!earliest_.live() && bound_.time != kNoPrediction)) {
+      rescan_earliest();
+    }
+    return earliest_;
+  }
+
  private:
+  static constexpr Seconds kNoPrediction =
+      std::numeric_limits<Seconds>::infinity();
+
   /// Number of parallel arrays in the arena (hot-to-cold order below).
-  static constexpr std::size_t kArrays = 10;
+  static constexpr std::size_t kArrays = 10 + 2 * kPredictionKinds;
+
+  void drop_earliest(std::size_t i, Prediction kind) {
+    if (earliest_.slot == i && earliest_.kind == kind) {
+      earliest_.key = EventKey{kNoPrediction, 0};
+    }
+  }
+
+  /// Admits a live key below bound_ as the argmin. A key that does not
+  /// beat the argmin, or the argmin it displaces, becomes the new bound_.
+  void offer_earliest(const EarliestPrediction& c) {
+    if (!(c.key < bound_)) return;
+    if (!earliest_.live()) {
+      earliest_ = c;
+    } else if (c.key < earliest_.key) {
+      bound_ = earliest_.key;
+      earliest_ = c;
+    } else {
+      bound_ = c.key;
+    }
+  }
+
+  /// Full scan for the earliest live prediction.
+  void rescan_earliest();
 
   /// Grows the arena to hold at least \p min_capacity slots per array and
   /// rebinds the named views. Stride is rounded to 8 doubles so every
   /// array keeps 64-byte alignment.
   void grow(std::size_t min_capacity);
 
+  /// Rebinds the named views to an arena of \p capacity slots per array.
+  void bind_views(unsigned char* base, std::size_t capacity);
+
   struct AlignedFree {
-    void operator()(double* p) const {
+    void operator()(unsigned char* p) const {
       ::operator delete[](p, std::align_val_t{64});
     }
   };
 
   std::size_t size_ = 0;
-  std::size_t capacity_ = 0;  ///< slots per array == arena stride in doubles
-  std::unique_ptr<double[], AlignedFree> storage_;
+  std::size_t capacity_ = 0;  ///< slots per array; every element is 8 bytes
+  std::unique_ptr<unsigned char[], AlignedFree> storage_;
 
   // Named views into storage_ at offsets k * capacity_, in arena order.
   // Hot, kernel-mutated:
@@ -262,6 +365,19 @@ class FluidLane {
   double* playing_ = nullptr;
   // Cold tail: read only by workahead eligibility, never by the kernels.
   double* receive_bandwidth_ = nullptr;
+  /// Stored prediction keys, indexed by Prediction.
+  double* prediction_time_[kPredictionKinds] = {};
+  std::uint64_t* prediction_seq_[kPredictionKinds] = {};
+
+  /// Live predictions per kind; a rescan skips kinds with none.
+  std::size_t live_[kPredictionKinds] = {};
+  /// The smallest live key, when known (key.time +inf otherwise). Every
+  /// other live key is at least bound_; bound_ == (+inf, 0) means there is
+  /// none. Keeping the bound lets a fired or retimed argmin be replaced by
+  /// any new key below it without a rescan.
+  EarliestPrediction earliest_;
+  EventKey bound_{kNoPrediction, 0};
+  bool stale_ = false;  ///< upkeep deferred; earliest_ and bound_ are stale
 };
 
 }  // namespace vodsim

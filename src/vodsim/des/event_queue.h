@@ -14,10 +14,9 @@
 /// Every live slot tracks its heap position (the heap is hand-sifted rather
 /// than run through std::push_heap/pop_heap precisely so moves can maintain
 /// that index). The index buys two things:
-///   - reschedule() retimes an event in place — rewrite the entry's
-///     (time, seq) key, one O(log n) sift, no slot churn — which is what
-///     makes per-rate-change predicted-event retiming cheaper than the
-///     cancel+insert pair it replaces;
+///   - reschedule() and rekey() move an event in place — rewrite the
+///     entry's (time, seq) key, one O(log n) sift, no slot churn — instead
+///     of a cancel+insert pair;
 ///   - cancel() removes its entry eagerly (move the last entry into the
 ///     hole, sift). The heap therefore only ever holds live entries: pop
 ///     never skips dead ones, no compaction pass is needed, memory is
@@ -27,6 +26,13 @@
 /// Ordering is deterministic: equal-time events fire in schedule order
 /// (stable tie-break on a monotonically increasing sequence number), which
 /// keeps whole simulations reproducible from a seed.
+///
+/// Keyed entries: a caller that tracks many pending times of its own can
+/// draw sequence numbers without scheduling (draw_seq) and keep a single
+/// entry keyed by the earliest of them (schedule_keyed / rekey). Because
+/// pop order depends only on (time, seq), such an entry fires exactly when
+/// the earliest of the events it stands for would have. The engine uses it
+/// for one predicted-event timer per server (DESIGN.md §8).
 
 #include <cassert>
 #include <cstdint>
@@ -43,6 +49,18 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
+/// An event's place in the fire order: time first, then sequence number.
+struct EventKey {
+  Seconds time;
+  std::uint64_t seq;
+
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+  friend bool operator==(const EventKey&, const EventKey&) = default;
+};
+
 /// Callback invoked when an event fires. Receives the firing time.
 using EventFn = EventCallback;
 
@@ -55,22 +73,37 @@ class EventQueue {
   /// relative to other pending events (the caller — Simulator — enforces
   /// causality with respect to the clock).
   EventId schedule(Seconds time, EventFn fn) {
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    Slot& entry = slots_[slot];
-    assert(!entry.live);
-    entry.fn = std::move(fn);
-    entry.live = true;
-    ++scheduled_;
-    heap_.push_back(HeapEntry{time, scheduled_, slot, entry.generation});
-    sift_up(heap_.size() - 1);
-    return make_id(slot, entry.generation);
+    return insert(EventKey{time, draw_seq()}, std::move(fn));
+  }
+
+  /// Draws the next sequence number without scheduling anything, exactly
+  /// as schedule() would consume it. Gaps in the counter are harmless.
+  std::uint64_t draw_seq() { return ++scheduled_; }
+
+  /// Schedules \p fn under an explicit key whose seq came from draw_seq().
+  /// Consumes no sequence number.
+  EventId schedule_keyed(EventKey key, EventFn fn) {
+    assert(key.seq != 0 && key.seq <= scheduled_);
+    return insert(key, std::move(fn));
+  }
+
+  /// Re-keys a pending event to an explicit key (seq from draw_seq()) in
+  /// place, sifting up or down. Consumes no sequence number. Returns false
+  /// (and does nothing) for dead or stale ids.
+  bool rekey(EventId id, EventKey key) {
+    assert(key.seq != 0 && key.seq <= scheduled_);
+    const std::size_t pos = live_pos(id);
+    if (pos == kNoPos) return false;
+    set_key(pos, key);
+    return true;
+  }
+
+  /// The key of a pending event. Returns false for dead or stale ids.
+  bool pending_key(EventId id, EventKey& key) const {
+    const std::size_t pos = live_pos(id);
+    if (pos == kNoPos) return false;
+    key = EventKey{heap_[pos].time, heap_[pos].seq};
+    return true;
   }
 
   /// Retimes a pending event in place: one O(log n) sift, no slot churn.
@@ -83,20 +116,9 @@ class EventQueue {
   /// differ. Returns false (and does nothing) for dead or stale ids; the
   /// caller schedules a fresh event instead.
   bool reschedule(EventId id, Seconds time) {
-    if (id == kInvalidEventId) return false;
-    const std::uint32_t slot = id_slot(id);
-    if (slot >= slots_.size()) return false;
-    Slot& entry = slots_[slot];
-    if (!entry.live || entry.generation != id_generation(id)) return false;
-    const std::size_t pos = entry.heap_pos;
-    assert(pos < heap_.size() && heap_[pos].slot == slot &&
-           heap_[pos].generation == entry.generation);
-    heap_[pos].time = time;
-    heap_[pos].seq = ++scheduled_;
-    // An earlier time moves up; a later time — or the same time, now losing
-    // the seq tie-break — moves down. Try up first; if it did not move,
-    // settle downward.
-    if (sift_up(pos) == pos) sift_down(pos);
+    const std::size_t pos = live_pos(id);
+    if (pos == kNoPos) return false;
+    set_key(pos, EventKey{time, draw_seq()});
     return true;
   }
 
@@ -104,12 +126,10 @@ class EventQueue {
   /// no-op if the event already fired or was cancelled (including
   /// kInvalidEventId and stale ids — the slot generation no longer matches).
   void cancel(EventId id) {
-    if (id == kInvalidEventId) return;
-    const std::uint32_t slot = id_slot(id);
-    if (slot >= slots_.size()) return;
-    Slot& entry = slots_[slot];
-    if (!entry.live || entry.generation != id_generation(id)) return;
-    remove_at(entry.heap_pos);
+    const std::size_t pos = live_pos(id);
+    if (pos == kNoPos) return;
+    const std::uint32_t slot = heap_[pos].slot;
+    remove_at(pos);
     release(slot);
   }
 
@@ -146,7 +166,8 @@ class EventQueue {
     free_slots_.reserve(events);
   }
 
-  /// Total events ever scheduled (diagnostic).
+  /// Sequence numbers drawn so far: one per schedule(), reschedule() or
+  /// draw_seq() call (diagnostic).
   std::uint64_t scheduled_count() const { return scheduled_; }
 
   /// Heap entries currently held (diagnostic). Eager removal keeps this
@@ -175,6 +196,49 @@ class EventQueue {
     std::uint32_t heap_pos = 0;  ///< current heap index; valid while live
     bool live = false;
   };
+
+  static constexpr std::size_t kNoPos = ~static_cast<std::size_t>(0);
+
+  /// Heap position of the live event \p id, or kNoPos for invalid, dead or
+  /// stale ids.
+  std::size_t live_pos(EventId id) const {
+    if (id == kInvalidEventId) return kNoPos;
+    const std::uint32_t slot = id_slot(id);
+    if (slot >= slots_.size()) return kNoPos;
+    const Slot& entry = slots_[slot];
+    if (!entry.live || entry.generation != id_generation(id)) return kNoPos;
+    assert(entry.heap_pos < heap_.size() &&
+           heap_[entry.heap_pos].slot == slot &&
+           heap_[entry.heap_pos].generation == entry.generation);
+    return entry.heap_pos;
+  }
+
+  [[gnu::always_inline]] EventId insert(EventKey key, EventFn&& fn) {
+    std::uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    Slot& entry = slots_[slot];
+    assert(!entry.live);
+    entry.fn = std::move(fn);
+    entry.live = true;
+    heap_.push_back(HeapEntry{key.time, key.seq, slot, entry.generation});
+    sift_up(heap_.size() - 1);
+    return make_id(slot, entry.generation);
+  }
+
+  /// Rewrites the key of the entry at \p pos and restores heap order. An
+  /// earlier key moves up; a later one moves down. Try up first; if it did
+  /// not move, settle downward.
+  void set_key(std::size_t pos, EventKey key) {
+    heap_[pos].time = key.time;
+    heap_[pos].seq = key.seq;
+    if (sift_up(pos) == pos) sift_down(pos);
+  }
 
   static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(generation) << 32) |

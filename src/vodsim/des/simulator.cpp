@@ -19,6 +19,16 @@ bool Simulator::reschedule_at(Seconds time, EventId id) {
   return queue_.reschedule(id, std::max(time, now_));
 }
 
+EventId Simulator::schedule_keyed(EventKey key, EventFn fn) {
+  assert(key.time >= now_);
+  return queue_.schedule_keyed(key, std::move(fn));
+}
+
+bool Simulator::rekey(EventId id, EventKey key) {
+  assert(key.time >= now_);
+  return queue_.rekey(id, key);
+}
+
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto [time, fn] = queue_.pop();

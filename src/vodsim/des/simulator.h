@@ -38,6 +38,24 @@ class Simulator {
   /// false (no-op) on invalid/fired handles; the caller schedules afresh.
   bool reschedule_at(Seconds time, EventId id);
 
+  /// Draws the next event sequence number without scheduling (see
+  /// EventQueue::draw_seq). Callers that keep their own pending keys use it
+  /// to stay in the global (time, seq) order.
+  std::uint64_t draw_seq() { return queue_.draw_seq(); }
+
+  /// Schedules \p fn under an explicit key. The caller applies the clock
+  /// clamp itself: key.time must not precede now().
+  EventId schedule_keyed(EventKey key, EventFn fn);
+
+  /// Re-keys a pending event in place (same precondition as
+  /// schedule_keyed). Returns false (no-op) on invalid/fired handles.
+  bool rekey(EventId id, EventKey key);
+
+  /// The key of a pending event; false on invalid/fired handles.
+  bool pending_key(EventId id, EventKey& key) const {
+    return queue_.pending_key(id, key);
+  }
+
   /// Fires the earliest pending event. Returns false if none remain.
   bool step();
 

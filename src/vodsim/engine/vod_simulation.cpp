@@ -220,15 +220,13 @@ void VodSimulation::build_world() {
   requests_.reset(sharded_ ? static_cast<std::size_t>(config_.shards) + 1 : 1);
 
   // Pre-size the hot-path buffers so the steady-state event loop never
-  // allocates: up to ~3 predicted events per concurrent stream plus
-  // playback-end/arrival bookkeeping, and one rate per stream per server.
-  // Sharded mode partitions the predicted-event share across the shard
-  // queues (build_shards); the root queue keeps the coordinator's share.
+  // allocates: playback-end plus (with interactivity) one pending
+  // pause/resume per concurrent stream, one predicted-event timer per
+  // server (held by the shard queues when sharded, see build_shards), and
+  // one rate per stream per server.
   const std::size_t max_streams = static_cast<std::size_t>(
       config_.system.total_bandwidth() / config_.system.view_bandwidth);
-  // Coordinator share: playback-end plus (with interactivity) one pending
-  // pause/resume per stream; shards hold the three predicted events.
-  sim_.reserve_events((sharded_ ? 2 : 4) * max_streams + 64);
+  sim_.reserve_events(2 * max_streams + (sharded_ ? 0 : servers_.size()) + 64);
   const std::size_t per_server =
       static_cast<std::size_t>(config_.system.server_bandwidth /
                                config_.system.view_bandwidth) + 8;
@@ -401,11 +399,10 @@ void VodSimulation::build_shards(const TraceConfig& trace_config) {
       shard->trace = std::make_unique<TraceRecorder>(trace_config, k);
       shard->scheduler->set_trace(shard->trace.get());
     }
-    // The shard's share of the predicted events (~3 per concurrent stream
-    // on its servers) and the per-server scratch arenas.
+    // The shard queue holds one predicted-event timer per server.
     const std::size_t block =
         static_cast<std::size_t>(shard->end_server - shard->first_server);
-    shard->sim.reserve_events(3 * block * per_server + 64);
+    shard->sim.reserve_events(block);
     shard->rates_scratch.reserve(per_server);
     shard->sched_scratch.order.reserve(per_server);
     shard->sched_scratch.aux.reserve(per_server);
@@ -729,6 +726,14 @@ void VodSimulation::on_buffer_full(Request& request) {
   // server-wide reallocation.
   assert(request.server() != kNoServer);
   note(TraceEventType::kBufferFull, kTraceBuffer, request.server(), request.id(),
+       request.video_id(), request.buffer_level());
+  recompute_server(request.server());
+}
+
+void VodSimulation::on_buffer_low(Request& request) {
+  // A deliberately starved stream (intermittent scheduling) drained to the
+  // safety threshold and needs flow again.
+  note(TraceEventType::kBufferLow, kTraceBuffer, request.server(), request.id(),
        request.video_id(), request.buffer_level());
   recompute_server(request.server());
 }
@@ -1220,14 +1225,12 @@ void VodSimulation::recompute_server(ServerId server_id) {
     }
   }
 
-  // Phase 2: retime the predicted events of every changed slot. Splitting
-  // the fused write+retime loop is bit-identical: a retime reads only its
-  // own request's state (which phase 1 finalized), and both the slot order
-  // and the per-request schedule order (tx → full → low) — hence event-seq
-  // consumption — are unchanged. When a mass reallocation moved most of the
-  // lane, one vectorized pass computes all three predicted times (+inf =
-  // no event) and the scalar mechanics consume them; sparse changes (the
-  // single-stream-delta steady state) keep the pure scalar path — filling
+  // Phase 2: recompute the predictions of every changed slot, in slot
+  // order and tx → full → low within a slot (the seq-draw order the
+  // determinism goldens pin), then re-key the server's one timer. When a
+  // mass reallocation moved most of the lane, one vectorized pass computes
+  // all three predicted times (+inf = none); sparse changes (the
+  // single-stream-delta steady state) keep the scalar formulas — filling
   // the whole lane to retime two slots would waste the divisions the batch
   // amortizes.
   if (changed.size() >= 8 && changed.size() * 4 >= active.size()) {
@@ -1237,19 +1240,16 @@ void VodSimulation::recompute_server(ServerId server_id) {
     std::vector<Seconds>& low = shard != nullptr ? shard->retime_low : retime_low_;
     server.lane().fill_predicted_times(now, config_.intermittent_safety_cover,
                                        tx, full, low);
+    server.lane().defer_earliest();  // one rescan beats per-store upkeep
     for (const std::size_t i : changed) {
-      Request& request = *active[i];
-      if (request.state() != RequestState::kStreaming) {
-        cancel_predicted_events(request);  // mirrors reschedule's early-out
-      } else {
-        apply_predicted_times(request, tx[i], full[i], low[i]);
-      }
+      apply_predicted_times(*active[i], tx[i], full[i], low[i]);
     }
   } else {
     for (const std::size_t i : changed) {
       reschedule_predicted_events(*active[i]);
     }
   }
+  if (!changed.empty()) sync_server_timer(server_id);
   // Record *after* the advances above bumped the epoch: the server is clean
   // as of the state this pass just produced.
   state.clean_time = now;
@@ -1399,6 +1399,7 @@ void VodSimulation::on_pause(Request& request) {
     // did not, and a full buffer now absorbs nothing (minimum rate 0).
     recompute_server(request.server());
     reschedule_predicted_events(request);
+    sync_server_timer(request.server());
   }
 
   const Seconds pause = interactivity_rng_.exponential(
@@ -1424,6 +1425,7 @@ void VodSimulation::on_resume(Request& request) {
   if (request.state() == RequestState::kStreaming) {
     recompute_server(request.server());
     reschedule_predicted_events(request);
+    sync_server_timer(request.server());
   }
   schedule_next_pause(request);
 }
@@ -1523,32 +1525,23 @@ VodSimulation::OccupancySummary VodSimulation::occupancy() const {
 }
 
 void VodSimulation::cancel_predicted_events(Request& request) {
-  // EventIds are queue-local: the handles below always live in the owning
-  // shard's queue (root queue in single mode). Every detach/migration path
-  // cancels *before* reassigning the server, so the id↔queue pairing
-  // cannot dangle across an ownership change.
-  Simulator& psim = predicted_sim(request.server());
-  psim.cancel(request.tx_complete_event);
-  psim.cancel(request.buffer_full_event);
-  psim.cancel(request.buffer_low_event);
-  request.tx_complete_event = kInvalidEventId;
-  request.buffer_full_event = kInvalidEventId;
-  request.buffer_low_event = kInvalidEventId;
+  assert(request.lane() != nullptr);
+  FluidLane& lane = servers_[static_cast<std::size_t>(request.server())].lane();
+  for (std::size_t k = 0; k < kPredictionKinds; ++k) {
+    lane.clear_prediction(request.active_index, static_cast<Prediction>(k));
+  }
+  sync_server_timer(request.server());
 }
 
 void VodSimulation::reschedule_predicted_events(Request& request) {
-  if (request.state() != RequestState::kStreaming) {
-    cancel_predicted_events(request);
-    return;
-  }
+  assert(request.state() == RequestState::kStreaming);
   const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
   const Mbps rate = request.allocation();
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
   // Scalar twin of FluidLane::predicted_event_times: same formulas, same
   // gates, +inf encodes "no event" (see the kernel for why the encoding is
-  // unambiguous). The schedule/cancel mechanics live in
-  // apply_predicted_times, shared with recompute_server's batched path.
+  // unambiguous).
   Seconds tx_at = kNever;
   if (rate > 0.0) tx_at = now + request.remaining() / rate;
 
@@ -1580,70 +1573,88 @@ void VodSimulation::reschedule_predicted_events(Request& request) {
 
 void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
                                           Seconds full_at, Seconds low_at) {
-  // Predictions schedule into the owning shard's queue at the executing
-  // context's clock. A coordinator caller targets a shard queue whose own
-  // clock lags (it drained strictly below this event's time), so the
-  // schedule_at clamp-to-now can never fire backwards; a shard caller is
-  // always the owner itself.
+  assert(request.state() == RequestState::kStreaming);
+  // Keys come from the owning (shard) queue and are clamped to its clock,
+  // as schedule_at clamps. A coordinator caller targets a shard queue whose
+  // clock lags (it drained strictly below this event's time), so the clamp
+  // can never move a prediction backwards.
   Simulator& psim = predicted_sim(request.server());
+  const Seconds clock = psim.now();
+  FluidLane& lane = servers_[static_cast<std::size_t>(request.server())].lane();
+  const std::size_t slot = request.active_index;
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
-  // Each prediction retimes its pending event in place when one is live (the
-  // common case — every allocation change moves all of them) and only
-  // schedules or cancels on a liveness transition. Sequence-number parity
-  // with the cancel+schedule pairs this replaces is load-bearing: exactly
-  // one seq is consumed per *kept* prediction, in the same order
-  // (transmission-complete, then buffer-full, then buffer-low), so
-  // equal-time events tie-break identically and the simulation stays on the
-  // seed trajectory bit for bit. Cancels consume no seq, on either path.
+  // Seq parity with the per-stream events this replaces is load-bearing:
+  // exactly one seq per *kept* prediction, in tx → full → low order, none
+  // per cancel. The timer's key is the lane minimum, and pop order depends
+  // only on (time, seq), so equal-time events tie-break as before and the
+  // simulation stays on the seed trajectory bit for bit.
   //
   // Transmission-complete liveness comes from the allocation sign, not from
   // tx_at's finiteness: a pathological tiny rate could divide to +inf yet
-  // still mean "transmitting" — the sign test matches the scalar gate
-  // exactly. The full/low times can only be finite when their gates kept
-  // them, so finiteness *is* their liveness.
-  if (request.allocation() > 0.0) {
-    if (!psim.reschedule_at(tx_at, request.tx_complete_event)) {
-      request.tx_complete_event =
-          psim.schedule_at(tx_at, [this, &request](Seconds) {
-            request.tx_complete_event = kInvalidEventId;
-            on_tx_complete(request);
-          });
+  // still mean "transmitting", and it still draws its seq. The full/low
+  // times can only be finite when their gates kept them, so finiteness *is*
+  // their liveness.
+  const auto keep = [&](Prediction kind, bool live, Seconds at) {
+    if (live) {
+      lane.set_prediction(slot, kind,
+                          EventKey{std::max(at, clock), psim.draw_seq()});
+    } else {
+      lane.clear_prediction(slot, kind);
     }
-  } else {
-    psim.cancel(request.tx_complete_event);
-    request.tx_complete_event = kInvalidEventId;
-  }
+  };
+  keep(Prediction::kTxComplete, request.allocation() > 0.0, tx_at);
+  keep(Prediction::kBufferFull, full_at != kNever, full_at);
+  keep(Prediction::kBufferLow, low_at != kNever, low_at);
+}
 
-  if (full_at != kNever) {
-    if (!psim.reschedule_at(full_at, request.buffer_full_event)) {
-      request.buffer_full_event =
-          psim.schedule_at(full_at, [this, &request](Seconds) {
-            request.buffer_full_event = kInvalidEventId;
-            on_buffer_full(request);
-          });
-    }
-  } else {
-    psim.cancel(request.buffer_full_event);
-    request.buffer_full_event = kInvalidEventId;
+void VodSimulation::sync_server_timer(ServerId server_id) {
+  ServerRecomputeState& state =
+      recompute_state_[static_cast<std::size_t>(server_id)];
+  if (state.timer_firing) return;
+  const EarliestPrediction& next =
+      servers_[static_cast<std::size_t>(server_id)].lane().earliest_prediction();
+  // Most syncs leave the minimum where it was (an arrival adds a far-off
+  // key, a cancelled stream was not the earliest): skip the heap then.
+  if (state.timer != kInvalidEventId && next.key == state.timer_key) return;
+  Simulator& psim = predicted_sim(server_id);
+  if (!next.live()) {
+    psim.cancel(state.timer);
+    state.timer = kInvalidEventId;
+    return;
   }
+  state.timer_key = next.key;
+  if (!psim.rekey(state.timer, next.key)) {
+    state.timer = psim.schedule_keyed(
+        next.key, [this, server_id](Seconds) { on_server_timer(server_id); });
+  }
+}
 
-  if (low_at != kNever) {
-    if (!psim.reschedule_at(low_at, request.buffer_low_event)) {
-      request.buffer_low_event =
-          psim.schedule_at(low_at, [this, &request](Seconds) {
-            request.buffer_low_event = kInvalidEventId;
-            if (request.state() == RequestState::kStreaming) {
-              note(TraceEventType::kBufferLow, kTraceBuffer, request.server(),
-                   request.id(), request.video_id(), request.buffer_level());
-              recompute_server(request.server());
-            }
-          });
-    }
-  } else {
-    psim.cancel(request.buffer_low_event);
-    request.buffer_low_event = kInvalidEventId;
+void VodSimulation::on_server_timer(ServerId server_id) {
+  ServerRecomputeState& state =
+      recompute_state_[static_cast<std::size_t>(server_id)];
+  state.timer = kInvalidEventId;  // popped
+  Server& server = servers_[static_cast<std::size_t>(server_id)];
+  const EarliestPrediction due = server.lane().earliest_prediction();
+  assert(due.live() && due.key.time == predicted_sim(server_id).now());
+  // Clear before dispatch, as the per-stream handlers did with their own
+  // handles, so the handler sees the prediction as consumed.
+  server.lane().clear_prediction(due.slot, due.kind);
+  Request& request = *server.active_requests()[due.slot];
+  state.timer_firing = true;
+  switch (due.kind) {
+    case Prediction::kTxComplete:
+      on_tx_complete(request);
+      break;
+    case Prediction::kBufferFull:
+      on_buffer_full(request);
+      break;
+    case Prediction::kBufferLow:
+      on_buffer_low(request);
+      break;
   }
+  state.timer_firing = false;
+  sync_server_timer(server_id);
 }
 
 std::size_t VodSimulation::request_pool(ServerId server) const {
@@ -1657,6 +1668,15 @@ Simulator& VodSimulation::predicted_sim(ServerId server) {
   return shards_[static_cast<std::size_t>(
                      shard_of_server_[static_cast<std::size_t>(server)])]
       ->sim;
+}
+
+const Simulator& VodSimulation::predicted_sim(ServerId server) const {
+  return const_cast<VodSimulation*>(this)->predicted_sim(server);
+}
+
+bool VodSimulation::predicted_timer_key(ServerId server, EventKey& key) const {
+  return predicted_sim(server).pending_key(
+      recompute_state_[static_cast<std::size_t>(server)].timer, key);
 }
 
 void VodSimulation::note(TraceEventType type, std::uint32_t category,

@@ -10,11 +10,14 @@
 /// Fluid transmission: each streaming request has a piecewise-constant rate;
 /// a server's rates are recomputed (EFTF by default) on every event that
 /// changes its active set or a client's ability to absorb workahead:
-/// arrival, transmission completion, buffer full, migration, failure.
-/// Between recomputations, each request carries two *predicted* events —
-/// transmission-complete and buffer-full — which are rescheduled only when
-/// its allocation actually changes, keeping event churn near-linear in the
-/// number of arrivals.
+/// arrival, transmission completion, buffer full, buffer low, migration,
+/// failure. Between recomputations, each request has up to three predicted
+/// times — transmission complete, buffer full, and (intermittent
+/// scheduling) buffer low — recomputed only when its allocation changes.
+/// They are stored in the server's FluidLane, not in the event queue: each
+/// server keeps one queue entry keyed by the earliest of its streams'
+/// predictions. A reallocation that moves hundreds of predictions therefore
+/// writes them into the lane and re-keys one entry (DESIGN.md §8).
 
 #include <cstdint>
 #include <memory>
@@ -112,6 +115,10 @@ class VodSimulation {
   /// The retry queue, or nullptr unless failure.retry.enabled.
   const RetryQueue* retry_queue() const { return retry_queue_.get(); }
 
+  /// Key of \p server's pending predicted-event timer; false when none is
+  /// armed. The invariant auditor checks it against the lane minimum.
+  bool predicted_timer_key(ServerId server, EventKey& key) const;
+
   /// Recompute-memo epoch of \p server: bumps whenever the server's
   /// allocation inputs change and never otherwise. The invariant auditor
   /// checks monotonicity; exposed for it and for tests.
@@ -196,6 +203,7 @@ class VodSimulation {
   void finish_migration(Request& request, ServerId target);
   void on_tx_complete(Request& request);
   void on_buffer_full(Request& request);
+  void on_buffer_low(Request& request);
   void on_playback_end(Request& request);
   void apply_fault(const FaultTransition& event);
   void recover_streams_of_failed_server(Server& server);
@@ -258,18 +266,31 @@ class VodSimulation {
   /// the contract.
   void batch_advance_server(Server& server);
 
+  /// Clears an attached request's predictions and re-arms its server's
+  /// timer. Call before detaching it.
   void cancel_predicted_events(Request& request);
+
+  /// The scalar prediction formulas for one streaming request, stored via
+  /// apply_predicted_times. The caller re-arms the timer.
   void reschedule_predicted_events(Request& request);
 
-  /// The mechanics half of reschedule_predicted_events: given the three
-  /// predicted times (+inf = no event), cancels/schedules/retimes the
-  /// request's handles against its owning queue. Split out so
-  /// recompute_server's batched path can compute the times with one
-  /// vectorized lane pass (FluidLane::fill_predicted_times) and feed them
-  /// here — the schedule/cancel sequence (and thus event-seq consumption)
-  /// is identical to the scalar path.
+  /// Stores a request's three predicted times (+inf = none) in its lane
+  /// slot: one seq drawn from the owning queue per kept prediction, in
+  /// tx → full → low order, exactly as the per-stream events this replaces
+  /// consumed them. Does not re-arm the timer. Shared by the scalar path
+  /// and recompute_server's batched one (FluidLane::fill_predicted_times).
   void apply_predicted_times(Request& request, Seconds tx_at, Seconds full_at,
                              Seconds low_at);
+
+  /// Makes \p server's timer match its lane's earliest prediction:
+  /// re-keys it, schedules it, or cancels it when none is live. Deferred
+  /// while the timer's own handler runs (on_server_timer re-arms after).
+  void sync_server_timer(ServerId server);
+
+  /// The timer's handler: dispatches only the earliest prediction (cleared
+  /// first), then re-arms at the next one, so equal-time predictions still
+  /// interleave with other events in seq order.
+  void on_server_timer(ServerId server);
 
   /// The RequestArena pool a request created for \p server lives in:
   /// pool 0 (coordinator) in single mode or for server-less requests,
@@ -288,13 +309,13 @@ class VodSimulation {
             ServerId server = kNoServer, RequestId request = -1,
             VideoId video = -1, double a = 0.0, double b = 0.0);
 
-  /// The queue a request's predicted events (tx-complete, buffer-full,
-  /// buffer-low) belong to: the owning shard's simulator when sharded,
-  /// the root simulator otherwise. Predicted-event handles are only ever
-  /// scheduled/retimed/cancelled against this queue — EventIds are
-  /// queue-local, and a request's server never changes while its
-  /// predictions are live (every migration/recovery path cancels first).
+  /// The queue a server's predicted-event timer lives in: the owning
+  /// shard's simulator when sharded, the root simulator otherwise.
+  /// Prediction seqs are drawn from this queue too — keys are queue-local,
+  /// and a request's server never changes while its predictions are live
+  /// (every migration/recovery path cancels first).
   Simulator& predicted_sim(ServerId server);
+  const Simulator& predicted_sim(ServerId server) const;
 
   /// Builds the shard contexts (shards > 1 only); part of build_world.
   void build_shards(const TraceConfig& trace_config);
@@ -415,6 +436,12 @@ class VodSimulation {
     /// scheduler repairs it instead of resorting (sched/finish_order.h).
     /// Entries point into requests_, which outlives this state.
     SchedCache sched_cache;
+    /// The server's predicted-event timer (kInvalidEventId while no
+    /// prediction is live or while it fires) and the key it carries.
+    EventId timer = kInvalidEventId;
+    EventKey timer_key{0.0, 0};
+    /// Set while on_server_timer dispatches; sync_server_timer waits.
+    bool timer_firing = false;
   };
   std::vector<ServerRecomputeState> recompute_state_;
 };

@@ -42,7 +42,10 @@ struct ProbeRow {
   double active_streams = 0.0;
   double mean_buffer_fill = 0.0;  ///< mean staging fill fraction (0 when no
                                   ///< active streams or no staging buffer)
-  double pending_events = 0.0;    ///< DES queue depth (aggregate row only)
+  /// DES queue depth (aggregate row only). Predicted events count as one
+  /// timer per server with a live prediction, not one entry per stream and
+  /// prediction kind (DESIGN.md §8).
+  double pending_events = 0.0;
   double capacity_factor = 1.0;   ///< brownout state (aggregate: mean)
   double retry_queue = 0.0;       ///< retry-queue depth (aggregate row only)
   double reachable = 1.0;         ///< 1 = controller can reach the server

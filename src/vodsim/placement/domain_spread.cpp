@@ -2,12 +2,23 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace vodsim {
 
 PlacementResult DomainSpreadPlacement::place(
     const VideoCatalog& catalog, const std::vector<double>& /*popularity*/,
     double avg_copies, std::vector<Server>& servers, Rng& rng) const {
+  // The installer indexes the tree by server id; a tree built for another
+  // cluster size (make_placement's default-constructed one has no servers)
+  // would read out of range.
+  if (static_cast<std::size_t>(topology_.num_servers()) != servers.size()) {
+    throw std::invalid_argument(
+        "domain_spread placement: topology has " +
+        std::to_string(topology_.num_servers()) + " servers, cluster has " +
+        std::to_string(servers.size()));
+  }
   const std::size_t n = catalog.size();
   // Copy counts are Even's, draw for draw (same budget, same surplus
   // shuffle), so even-vs-domain_spread comparisons hold replication degree

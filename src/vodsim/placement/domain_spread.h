@@ -23,6 +23,8 @@ class DomainSpreadPlacement final : public PlacementPolicy {
   explicit DomainSpreadPlacement(Topology topology)
       : topology_(std::move(topology)) {}
 
+  /// Throws std::invalid_argument unless the topology covers exactly
+  /// \p servers (make_placement's default tree covers none).
   PlacementResult place(const VideoCatalog& catalog,
                         const std::vector<double>& popularity, double avg_copies,
                         std::vector<Server>& servers, Rng& rng) const override;

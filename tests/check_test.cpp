@@ -117,6 +117,43 @@ TEST(InvariantAuditorChecks, DetectsStaleBackPointer) {
   EXPECT_THROW(InvariantAuditor::check_request(request, host, 0), AuditFailure);
 }
 
+TEST(InvariantAuditorChecks, DetectsServerTimerOffTheLaneMinimum) {
+  Server server(0, 10.0, 1000.0);
+  Request first(0, test_video(), 0.0, test_client());
+  Request second(1, test_video(), 0.0, test_client());
+  for (Request* request : {&first, &second}) {
+    request->begin_streaming(0.0, server.id());
+    server.attach(*request);
+    request->set_allocation(0.0, 3.0);
+  }
+  FluidLane& lane = server.lane();
+  lane.set_prediction(0, Prediction::kTxComplete, EventKey{50.0, 7});
+  lane.set_prediction(1, Prediction::kBufferFull, EventKey{20.0, 9});
+  lane.set_prediction(1, Prediction::kTxComplete, EventKey{20.0, 8});
+
+  const EventKey right{20.0, 8};
+  EXPECT_NO_THROW(InvariantAuditor::check_predicted_timer(server, &right, 10.0));
+  // Same time, wrong seq: the timer would fire after an event it must
+  // precede.
+  const EventKey wrong_seq{20.0, 9};
+  EXPECT_THROW(InvariantAuditor::check_predicted_timer(server, &wrong_seq, 10.0),
+               AuditFailure);
+  EXPECT_THROW(InvariantAuditor::check_predicted_timer(server, nullptr, 10.0),
+               AuditFailure);
+  // A prediction the clock has already passed.
+  EXPECT_THROW(InvariantAuditor::check_predicted_timer(server, &right, 30.0),
+               AuditFailure);
+
+  // No live prediction: the timer must be unarmed.
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    lane.clear_prediction(slot, Prediction::kTxComplete);
+    lane.clear_prediction(slot, Prediction::kBufferFull);
+  }
+  EXPECT_NO_THROW(InvariantAuditor::check_predicted_timer(server, nullptr, 10.0));
+  EXPECT_THROW(InvariantAuditor::check_predicted_timer(server, &right, 10.0),
+               AuditFailure);
+}
+
 TEST(InvariantAuditorChecks, DetectsActiveIndexMismatch) {
   Server server(0, 10.0, 1000.0);
   Request request(0, test_video(), 0.0, test_client());

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "vodsim/cluster/client.h"
@@ -11,6 +13,7 @@
 #include "vodsim/cluster/request.h"
 #include "vodsim/cluster/server.h"
 #include "vodsim/cluster/video.h"
+#include "vodsim/util/rng.h"
 #include "vodsim/util/stable_vector.h"
 
 namespace vodsim {
@@ -538,6 +541,64 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   server.lane().advance_batch(20.0, 0.0, 1e9, scratch);
   EXPECT_DOUBLE_EQ(r3.buffer_level(), 30.0 + 6.0 * 10.0);  // inflow only
   EXPECT_DOUBLE_EQ(r2.buffer_level(), 30.0 + (6.0 - 3.0) * 10.0);
+}
+
+// Randomized churn against a full scan: sets (with equal-time ties),
+// clears, deferred upkeep and swap-removal, checked after every step, so
+// the argmin/bound upkeep and the rescan both run thousands of times.
+// Copies must carry the predictions and the cached argmin.
+TEST(FluidLane, EarliestPredictionMatchesAFullScanUnderChurn) {
+  ClientProfile client{120.0, 30.0};
+  Server server(0, 1000.0, 1e6);
+  std::vector<std::unique_ptr<Request>> requests;
+  for (int i = 0; i < 12; ++i) {
+    requests.push_back(
+        std::make_unique<Request>(i, make_video(i % 3), 0.0, client));
+    requests.back()->begin_streaming(0.0, 0);
+    server.attach(*requests.back());
+  }
+  FluidLane& lane = server.lane();
+  Rng rng(42);
+  std::uint64_t seq = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const double op = rng.uniform(0.0, 1.0);
+    const auto slot = static_cast<std::size_t>(
+        rng.uniform(0.0, static_cast<double>(lane.size())));
+    const auto kind =
+        static_cast<Prediction>(static_cast<int>(rng.uniform(0.0, 3.0)));
+    if (op < 0.55) {
+      // Few distinct times, so equal-time keys tie-break on seq.
+      const double time = std::floor(rng.uniform(0.0, 20.0));
+      lane.set_prediction(slot, kind, EventKey{time, ++seq});
+    } else if (op < 0.9) {
+      lane.clear_prediction(slot, kind);
+    } else if (op < 0.95) {
+      lane.defer_earliest();
+    } else {
+      Request& request = *server.active_requests()[slot];
+      server.detach(request);
+      request.begin_migration(0.0);
+      request.complete_migration(0.0, 0);
+      server.attach(request);
+    }
+    EventKey best{std::numeric_limits<Seconds>::infinity(), 0};
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      for (std::size_t k = 0; k < kPredictionKinds; ++k) {
+        const EventKey key = lane.prediction(i, static_cast<Prediction>(k));
+        if (key < best) best = key;
+      }
+    }
+    const EarliestPrediction earliest = lane.earliest_prediction();
+    ASSERT_EQ(earliest.key, best) << "step " << step;
+    if (earliest.live()) {
+      ASSERT_EQ(lane.prediction(earliest.slot, earliest.kind), best)
+          << "step " << step;
+    }
+    if (step % 1000 == 0) {
+      FluidLane copy = lane;  // carries the predictions and the argmin
+      ASSERT_EQ(copy.earliest_prediction().key, best) << "step " << step;
+    }
+  }
 }
 
 // AVX-512 smoke: on hosts with avx512f the ifunc resolver dispatches the

@@ -356,6 +356,133 @@ TEST(EventQueue, ScheduledCountIsMonotone) {
   EXPECT_EQ(last, 3000u);
 }
 
+// ------------------------------------------------------- keyed entries
+
+TEST(EventQueue, KeyedEntryWithOldSeqPopsAheadOfNewerEqualTimeEvent) {
+  // A keyed entry stands for an event whose seq was drawn earlier: at equal
+  // times it must beat everything scheduled after that draw, however late
+  // the entry itself was inserted.
+  EventQueue queue;
+  std::vector<int> fired;
+  const std::uint64_t old_seq = queue.draw_seq();
+  queue.schedule(5.0, [&](Seconds) { fired.push_back(2); });
+  queue.schedule_keyed(EventKey{5.0, old_seq},
+                       [&](Seconds) { fired.push_back(1); });
+  queue.schedule(5.0, [&](Seconds) { fired.push_back(3); });
+  while (!queue.empty()) queue.pop().second(5.0);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, KeyedCallsConsumeNoSeq) {
+  EventQueue queue;
+  const std::uint64_t seq = queue.draw_seq();
+  EXPECT_EQ(queue.scheduled_count(), 1u);
+  const EventId id = queue.schedule_keyed(EventKey{1.0, seq}, [](Seconds) {});
+  EXPECT_TRUE(queue.rekey(id, EventKey{2.0, seq}));
+  EXPECT_EQ(queue.scheduled_count(), 1u);
+}
+
+TEST(EventQueue, RekeyMovesAnEntryUpAndDown) {
+  EventQueue queue;
+  std::vector<int> fired;
+  for (int i = 1; i <= 3; ++i) {
+    queue.schedule(static_cast<double>(i),
+                   [&fired, i](Seconds) { fired.push_back(i); });
+  }
+  const EventId keyed = queue.schedule_keyed(
+      EventKey{2.5, queue.draw_seq()}, [&](Seconds) { fired.push_back(9); });
+
+  const EventKey up{0.5, queue.draw_seq()};
+  EXPECT_TRUE(queue.rekey(keyed, up));
+  EXPECT_DOUBLE_EQ(queue.peek_time(), 0.5);
+  EventKey key{};
+  ASSERT_TRUE(queue.pending_key(keyed, key));
+  EXPECT_EQ(key, up);
+
+  const EventKey down{4.0, queue.draw_seq()};
+  EXPECT_TRUE(queue.rekey(keyed, down));
+  EXPECT_DOUBLE_EQ(queue.peek_time(), 1.0);
+  ASSERT_TRUE(queue.pending_key(keyed, key));
+  EXPECT_EQ(key, down);
+
+  // Same time, older seq: moves ahead of an equal-time event.
+  queue.schedule(4.0, [&](Seconds) { fired.push_back(4); });
+  EXPECT_TRUE(queue.rekey(keyed, EventKey{4.0, down.seq}));
+  while (!queue.empty()) {
+    auto [time, fn] = queue.pop();
+    fn(time);
+  }
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 9, 4}));
+}
+
+TEST(EventQueue, RekeyFiredOrStaleIdIsANoop) {
+  EventQueue queue;
+  EventKey key{};
+  EXPECT_FALSE(queue.rekey(kInvalidEventId, EventKey{1.0, queue.draw_seq()}));
+  EXPECT_FALSE(queue.pending_key(kInvalidEventId, key));
+
+  const EventId fired_id =
+      queue.schedule_keyed(EventKey{1.0, queue.draw_seq()}, [](Seconds) {});
+  queue.pop().second(1.0);
+  EXPECT_FALSE(queue.rekey(fired_id, EventKey{2.0, queue.draw_seq()}));
+  EXPECT_FALSE(queue.pending_key(fired_id, key));
+  EXPECT_TRUE(queue.empty());
+
+  const EventId cancelled =
+      queue.schedule_keyed(EventKey{1.0, queue.draw_seq()}, [](Seconds) {});
+  queue.cancel(cancelled);
+  // The freed slot is recycled; the stale id must not reach the new event.
+  const EventKey live_key{3.0, queue.draw_seq()};
+  const EventId live = queue.schedule_keyed(live_key, [](Seconds) {});
+  EXPECT_FALSE(queue.rekey(cancelled, EventKey{0.5, queue.draw_seq()}));
+  EXPECT_FALSE(queue.pending_key(cancelled, key));
+  ASSERT_TRUE(queue.pending_key(live, key));
+  EXPECT_EQ(key, live_key);
+  EXPECT_EQ(queue.size(), 1u);
+}
+
+TEST(EventQueue, KeyedChurnKeepsHeapFlatAndOrdered) {
+  // One keyed entry per "server", re-keyed, cancelled and re-armed many
+  // times among plain events: no dead entries, and pops stay sorted.
+  EventQueue queue;
+  Seconds now = 0.0;
+  std::vector<EventId> timers(50, kInvalidEventId);
+  std::uint64_t state = 12345;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 11) / static_cast<double>(1ull << 53);
+  };
+  for (int round = 0; round < 2000; ++round) {
+    EventId& timer = timers[static_cast<std::size_t>(round) % timers.size()];
+    const EventKey key{now + 10.0 * next(), queue.draw_seq()};
+    if (round % 7 == 0) {
+      queue.cancel(timer);
+      timer = kInvalidEventId;
+    } else if (!queue.rekey(timer, key)) {
+      timer = queue.schedule_keyed(key, [](Seconds) {});
+    }
+    if (round % 3 == 0) queue.schedule(now + 10.0 * next(), [](Seconds) {});
+    EXPECT_EQ(queue.heap_entries(), queue.size());
+    if (round % 5 == 0 && !queue.empty()) {
+      const Seconds time = queue.pop().first;
+      EXPECT_GE(time, now);
+      now = time;
+      // A popped timer's id is dead from here on.
+      for (EventId& id : timers) {
+        EventKey unused{};
+        if (!queue.pending_key(id, unused)) id = kInvalidEventId;
+      }
+    }
+  }
+  EXPECT_EQ(queue.heap_entries(), queue.size());
+  Seconds last = now;
+  while (!queue.empty()) {
+    const Seconds time = queue.pop().first;
+    EXPECT_GE(time, last);
+    last = time;
+  }
+}
+
 TEST(Simulator, ClockAdvancesToEventTimes) {
   Simulator sim;
   std::vector<Seconds> times;

@@ -208,12 +208,25 @@ TEST(BsrPlacement, HotTitlesSpreadAcrossServers) {
 
 TEST(PlacementFactory, RoundTripNames) {
   for (PlacementKind kind : {PlacementKind::kEven, PlacementKind::kPredictive,
-                             PlacementKind::kPartialPredictive, PlacementKind::kBsr}) {
+                             PlacementKind::kPartialPredictive, PlacementKind::kBsr,
+                             PlacementKind::kDomainSpread}) {
     const auto policy = make_placement(kind);
     EXPECT_EQ(policy->name(), to_string(kind));
     EXPECT_EQ(placement_kind_from_string(to_string(kind)), kind);
   }
   EXPECT_THROW(placement_kind_from_string("nope"), std::invalid_argument);
+}
+
+TEST(PlacementFactory, DomainSpreadWithoutAMatchingTopologyThrows) {
+  // The factory has no cluster to build a tree for; placing through its
+  // empty topology must fail loudly instead of indexing out of range.
+  const VideoCatalog catalog = make_catalog(40);
+  auto servers = make_servers(8);
+  Rng rng(10);
+  const auto policy = make_placement(PlacementKind::kDomainSpread);
+  EXPECT_THROW(policy->place(catalog, zipf_popularity(40, 0.271), 2.2, servers, rng),
+               std::invalid_argument);
+  for (const Server& server : servers) EXPECT_TRUE(server.replicas().empty());
 }
 
 // ------------------------------------------------- budget-parity property

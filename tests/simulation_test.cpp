@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "vodsim/analysis/svbr.h"
 #include "vodsim/engine/vod_simulation.h"
@@ -405,6 +407,68 @@ TEST(Simulation, TraceReplayPairsPolicies) {
 
   // Identical arrival streams: the policies see exactly the same demand.
   EXPECT_EQ(arrivals_plain, arrivals_migrated);
+}
+
+// ------------------------------------------- equal-time event order
+
+TEST(Simulation, EqualTimePredictionsInterleaveWithOtherEventsInSeqOrder) {
+  // Two 100 s titles per server, 1 Mb/s views, a 2 Mb/s receive cap and
+  // room for every stream's workahead, so every fluid time below is exact.
+  // The hand-made trace makes four events land at t = 100 s: the playback
+  // end of request 0, the transmission completes of requests 2 and 3 (both
+  // on server 0) and the arrival of request 5. Pop order among them is
+  // decided by sequence numbers alone. Request 3's completion was predicted
+  // after the arrival was scheduled, so the arrival must fire *between* the
+  // two predictions of one server: a server timer that dispatched every
+  // due prediction at once would swap them.
+  SimulationConfig config;
+  config.system.num_servers = 2;
+  config.system.server_bandwidth = 4.0;
+  config.system.view_bandwidth = 1.0;
+  config.system.video_min_duration = 100.0;
+  config.system.video_max_duration = 100.0;
+  config.system.num_videos = 4;
+  config.system.avg_copies = 1.0;
+  config.system.server_storage = 1e6;
+  config.client.staging_fraction = 0.25;
+  config.client.receive_bandwidth = 2.0;
+  config.duration = 400.0;
+  config.warmup = 0.0;
+  config.trace.enabled = true;
+  config.paranoid = true;  // the auditor checks the timer after every event
+  const RequestTrace trace({{0.0, 1}, {20.0, 3}, {25.0, 0}, {25.0, 1},
+                            {50.0, 3}, {100.0, 3}});
+
+  VodSimulation simulation(config, trace);
+  // Scenario precondition: titles 0 and 1 live on server 0, 2 and 3 on 1.
+  for (VideoId video = 0; video < 4; ++video) {
+    ASSERT_EQ(simulation.directory().holders(video),
+              std::vector<ServerId>{video < 2 ? 0 : 1});
+  }
+  simulation.run();
+
+  // Rendered "type server request", e.g. "tx_complete 0 2".
+  std::vector<std::string> at_100;
+  for (const TraceEvent& event : simulation.trace()->snapshot()) {
+    if (event.time != 100.0) continue;
+    if (event.type == TraceEventType::kArrival ||
+        event.type == TraceEventType::kPlaybackEnd ||
+        event.type == TraceEventType::kTxComplete ||
+        event.type == TraceEventType::kBufferFull ||
+        event.type == TraceEventType::kBufferLow) {
+      at_100.push_back(std::string(to_string(event.type)) + " " +
+                       std::to_string(event.server) + " " +
+                       std::to_string(event.request));
+    }
+  }
+  // Fire order recorded from the per-stream-event engine this replaced.
+  const std::vector<std::string> expected = {
+      std::string(to_string(TraceEventType::kPlaybackEnd)) + " -1 0",
+      std::string(to_string(TraceEventType::kTxComplete)) + " 0 2",
+      std::string(to_string(TraceEventType::kArrival)) + " -1 5",
+      std::string(to_string(TraceEventType::kTxComplete)) + " 0 3",
+  };
+  EXPECT_EQ(at_100, expected);
 }
 
 }  // namespace
