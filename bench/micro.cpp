@@ -648,54 +648,6 @@ BENCHMARK(BM_EndToEndFastMath)
     ->ArgNames({"fast"})
     ->Unit(benchmark::kMillisecond);
 
-void BM_ShardedEndToEnd(benchmark::State& state) {
-  // Sharded engine (DESIGN.md §12) vs the single-queue baseline on a
-  // 16-server cluster at ~960 concurrent streams. Args: {shards, threads}.
-  // shards=1 is the literal pre-sharding code path (the baseline row);
-  // shards>1 adds the coordinator/window machinery, so the {4,1} row
-  // isolates the protocol's serial overhead and the multi-thread rows show
-  // whatever parallelism the host actually has. The serial_frac counter is
-  // the measured coordinator share of executed events — the Amdahl ceiling
-  // for this workload, independent of host core count.
-  const int shards = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  std::uint64_t events = 0;
-  std::uint64_t coordinator = 0;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    SimulationConfig config;
-    config.system = SystemConfig::small_system();
-    config.system.num_servers = 16;
-    config.system.server_bandwidth = 180.0;
-    config.zipf_theta = 0.271;
-    config.client.staging_fraction = 0.2;
-    config.client.receive_bandwidth = 30.0;
-    config.admission.migration.enabled = true;
-    config.duration = hours(0.25);
-    config.warmup = 0.0;
-    config.seed = seed++;
-    config.shards = shards;
-    config.shard_threads = threads;
-    VodSimulation simulation(config);
-    simulation.run();
-    coordinator += simulation.coordinator_events();
-    events += simulation.coordinator_events() + simulation.shard_events();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["serial_frac"] =
-      events > 0 ? static_cast<double>(coordinator) / static_cast<double>(events)
-                 : 0.0;
-  state.SetLabel("items = simulator events (all queues)");
-}
-BENCHMARK(BM_ShardedEndToEnd)
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Args({16, 4})
-    ->ArgNames({"shards", "threads"})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_EndToEndObservedHour(benchmark::State& state) {
   // Observability overhead on the whole-engine hot loop. The same run as
   // BM_EndToEndSmallSystemHour with the trace recorder (all categories)

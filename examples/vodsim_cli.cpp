@@ -24,18 +24,13 @@
 
 namespace {
 
-/// Mirrors VodSimulation::build_world's engine-mode resolution (flags, env
-/// overrides, sharded fast-by-default) so the banner reports the mode the
-/// engine will actually run, not just the flag values.
+/// Mirrors VodSimulation::build_world's engine-mode resolution (flag or
+/// VODSIM_FAST_MATH override) so the banner reports the mode the engine
+/// will actually run, not just the flag value.
 bool resolved_fast_math(const vodsim::SimulationConfig& config) {
-  const auto env_set = [](const char* name) {
-    const char* const value = std::getenv(name);
-    return value != nullptr && std::strtol(value, nullptr, 10) != 0;
-  };
-  const bool exact_requested =
-      config.exact_math || env_set("VODSIM_EXACT_MATH");
-  return !exact_requested && (config.fast_math ||
-                              env_set("VODSIM_FAST_MATH") || config.shards > 1);
+  const char* const value = std::getenv("VODSIM_FAST_MATH");
+  return config.fast_math ||
+         (value != nullptr && std::strtol(value, nullptr, 10) != 0);
 }
 
 }  // namespace
@@ -120,18 +115,7 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "42", "master seed");
   cli.add_flag("fast-math", "false",
                "batched SoA fluid advance (reproducible; fluid aggregates "
-               "within 1e-9 of exact mode, counts identical); the default "
-               "when --shards > 1");
-  cli.add_flag("exact-math", "false",
-               "opt sharded runs out of the fast-math default (no-op at "
-               "--shards 1, where exact is already the default)");
-  cli.add_flag("shards", "1",
-               "server-group shards draining predicted events in parallel "
-               "(1 = classic single-queue engine; fixed shard count is "
-               "bit-reproducible at any thread count)");
-  cli.add_flag("shard-threads", "0",
-               "drain worker threads for --shards > 1 (0 = all cores; "
-               "thread count never changes results)");
+               "within 1e-9 of exact mode, counts identical)");
   // Observability (re-runs trial 0 with tracing attached; observe-only, so
   // the traced run is bit-identical to the reported one).
   cli.add_flag("trace-out", "", "write a chrome://tracing JSON trace here");
@@ -272,9 +256,6 @@ int main(int argc, char** argv) {
   config.warmup = hours(cli.get_double("warmup-hours"));
   config.seed = static_cast<std::uint64_t>(cli.get_long("seed"));
   config.fast_math = cli.get_bool("fast-math");
-  config.exact_math = cli.get_bool("exact-math");
-  config.shards = static_cast<int>(cli.get_long("shards"));
-  config.shard_threads = static_cast<int>(cli.get_long("shard-threads"));
 
   try {
     config.validate();
@@ -292,9 +273,7 @@ int main(int argc, char** argv) {
             << config.system.server_bandwidth << " Mb/s, theta "
             << config.zipf_theta << ", " << trials << " trial(s) x "
             << cli.get_double("hours") << " h"
-            << (resolved_fast_math(config) ? " [fast-math]" : "");
-  if (config.shards > 1) std::cout << " [shards=" << config.shards << "]";
-  std::cout << "\n\n";
+            << (resolved_fast_math(config) ? " [fast-math]" : "") << "\n\n";
 
   // Analytic achievability envelope (analysis/bounds.h): bounds are computed
   // per trial world (catalog/placement vary with the trial seed), so report
@@ -409,24 +388,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sharded-engine block: the coordinator/shard event split measures the
-  // run's serial fraction — the Amdahl ceiling for this exact workload.
-  if (config.shards > 1) {
-    std::uint64_t coordinator = 0, sharded = 0;
-    for (const TrialResult& trial : point.trials) {
-      coordinator += trial.coordinator_events;
-      sharded += trial.shard_events;
-    }
-    const std::uint64_t total = coordinator + sharded;
-    table.add_row({"coordinator events", std::to_string(coordinator)});
-    table.add_row({"shard events", std::to_string(sharded)});
-    char frac[32];
-    std::snprintf(frac, sizeof(frac), "%.4f",
-                  total > 0 ? static_cast<double>(coordinator) /
-                                  static_cast<double>(total)
-                            : 1.0);
-    table.add_row({"serial fraction (Amdahl)", frac});
-  }
   table.print(std::cout);
 
   const std::string csv_out = cli.get_string("csv-out");
@@ -480,13 +441,7 @@ int main(int argc, char** argv) {
       }
     }
     if (!probe_out.empty()) {
-      if (simulation.probes() == nullptr) {
-        // Sharded runs drain per-stream events in parallel shard queues, so
-        // the engine has no global event boundary to sample on and leaves
-        // probes detached (vod_simulation.cpp build_world).
-        std::cout << "note: probes are unavailable with --shards > 1; "
-                     "no probe CSV written\n";
-      } else if (auto out = open(probe_out)) {
+      if (auto out = open(probe_out)) {
         write_probe_csv(out, *simulation.probes());
         std::cout << "wrote probe series to " << probe_out << "\n";
       }

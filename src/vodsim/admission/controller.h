@@ -8,11 +8,6 @@
 /// via dynamic request migration, or (c) rejects the request. The decision
 /// is pure — the engine executes it — so it is unit-testable without the
 /// event loop.
-///
-/// Sharded engine (DESIGN.md §12): admission reads — and migration writes —
-/// any server in the cluster, so arrival/admission events always execute on
-/// the serial coordinator queue, never inside a shard drain. The controller
-/// itself needs no changes for sharding; only its call sites are pinned.
 
 #include <vector>
 

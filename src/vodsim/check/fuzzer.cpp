@@ -268,7 +268,7 @@ SimulationConfig random_scenario(Rng& rng) {
       }
     }
     // Glitch dedupe: mostly the 1 s default, sometimes disabled, sometimes
-    // a wide window — the fast/sharded differentials must agree under all.
+    // a wide window — the fast/exact differential must agree under all.
     if (rng.uniform() < 0.25) {
       config.failure.glitch_dedupe_window =
           rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.5, 5.0);
@@ -299,21 +299,6 @@ SimulationConfig random_scenario(Rng& rng) {
   config.load_factor = rng.uniform(0.5, 1.4);
   config.duration = rng.uniform(120.0, 600.0);
   config.warmup = rng.uniform() < 0.5 ? 0.0 : 0.1 * config.duration;
-
-  // Sharded-engine coverage: roughly half the scenarios carry an explicit
-  // shard count (and worker count) for the sharded differential leg; the
-  // rest fall back to run_scenario's one-shard-per-server default. All
-  // three draws happen unconditionally so the per-call draw count stays
-  // fixed (the fixed-seed scenario-sequence property).
-  const bool draw_sharded = rng.uniform() < 0.5;
-  const int drawn_shards =
-      1 + static_cast<int>(rng.uniform_int(
-              static_cast<std::uint64_t>(config.system.num_servers)));
-  const int drawn_threads = 1 + static_cast<int>(rng.uniform_int(4));
-  if (draw_sharded) {
-    config.shards = drawn_shards;
-    config.shard_threads = drawn_threads;
-  }
 
   config.seed = rng.next_u64();
   return config;
@@ -359,9 +344,9 @@ SimulationConfig random_fault_scenario(Rng& rng) {
 
   // Domain-scoped chaos: half the chaos scenarios (re)build a topology and
   // arm at least one domain fault class, so rack outages, zone brownouts,
-  // and partitions all flow through the sanitizer smoke and the fast/
-  // sharded differentials routinely, not only when random_scenario happened
-  // to draw them.
+  // and partitions all flow through the sanitizer smoke and the fast/exact
+  // differential routinely, not only when random_scenario happened to draw
+  // them.
   if (rng.uniform() < 0.5) {
     config.topology.enabled = true;
     config.topology.racks = 1 + static_cast<int>(rng.uniform_int(
@@ -590,12 +575,10 @@ std::vector<SimulationConfig> pathology_corpus() {
     corpus.push_back(config);
   }
 
-  // 12. Cross-shard migration chains: four servers sharded one-per-server,
-  // so every displacement hop of a depth-3 chain — and every
-  // break-before-make reservation — spans shard boundaries, with shard
-  // queues holding live predictions for streams the coordinator is moving
-  // between them. Shrunk from a drawn-shards random scenario while
-  // hardening the ownership-transfer cancel ordering.
+  // 12. Migration chains with break-before-make: four overloaded servers,
+  // so every displacement hop of a depth-3 chain holds a destination
+  // reservation across a 1 s switch while the moved streams' predictions
+  // are cancelled and re-armed on another server's timer.
   {
     SimulationConfig config = base;
     config.system.num_servers = 4;
@@ -605,17 +588,14 @@ std::vector<SimulationConfig> pathology_corpus() {
     config.admission.migration.max_hops_per_request = -1;
     config.admission.migration.switch_latency = 1.0;
     config.load_factor = 1.4;
-    config.shards = 4;
-    config.shard_threads = 2;
     config.seed = 112;
     corpus.push_back(config);
   }
 
-  // 13. Correlated whole-shard outage: group_size 2 on four servers
-  // sharded in blocks of two, so a correlated failure takes down an entire
-  // shard at once — its queue holds nothing but predictions for dead
-  // streams, and recovery migrates every victim into the other shard while
-  // repair re-replication runs across the boundary.
+  // 13. Correlated group outage: group_size 2 on four servers, so a
+  // correlated failure takes down half the cluster at once — its timers
+  // hold nothing but predictions for dead streams, and recovery migrates
+  // every victim onto the surviving pair while repair re-replication runs.
   {
     SimulationConfig config = base;
     config.system.num_servers = 4;
@@ -635,8 +615,6 @@ std::vector<SimulationConfig> pathology_corpus() {
     config.failure.retry.max_queue = 8;
     config.failure.retry.backoff_base = 2.0;
     config.failure.retry.backoff_cap = 16.0;
-    config.shards = 2;
-    config.shard_threads = 2;
     config.seed = 113;
     corpus.push_back(config);
   }
@@ -703,14 +681,12 @@ std::vector<SimulationConfig> pathology_corpus() {
     corpus.push_back(config);
   }
 
-  // 16. Overlapping domain faults on rack-aligned shards: zone brownouts,
-  // rack partitions, *and* binary crashes interleave on a sharded engine
-  // whose shard boundaries coincide with the racks — the capacity-loss
-  // interval handoffs (down <-> brownout <-> partition are mutually
-  // exclusive per server) and the glitch-dedupe window all under the
-  // sharded/single and fast/exact differentials at once. Shrunk from a
-  // domain-chaos run that double-charged capacity loss when a partition
-  // began during a zone brownout.
+  // 16. Overlapping domain faults: zone brownouts, rack partitions, *and*
+  // binary crashes interleave on two racks — the capacity-loss interval
+  // handoffs (down <-> brownout <-> partition are mutually exclusive per
+  // server) and the glitch-dedupe window all under the fast/exact
+  // differential. Shrunk from a domain-chaos run that double-charged
+  // capacity loss when a partition began during a zone brownout.
   {
     SimulationConfig config = base;
     config.system.num_servers = 4;
@@ -734,8 +710,6 @@ std::vector<SimulationConfig> pathology_corpus() {
     config.failure.retry.backoff_cap = 16.0;
     config.failure.glitch_dedupe_window = 2.0;
     config.load_factor = 1.3;
-    config.shards = 2;
-    config.shard_threads = 2;
     config.seed = 116;
     corpus.push_back(config);
   }
@@ -743,75 +717,11 @@ std::vector<SimulationConfig> pathology_corpus() {
   return corpus;
 }
 
-namespace {
-
-/// Shared diff core for the cross-mode differentials (fast-vs-exact and
-/// sharded-vs-single): discrete counters must match exactly, fluid
-/// integrals within the reference oracle's relative tolerance.
-std::string diff_runs(const VodSimulation& a, const VodSimulation& b,
-                      const char* a_label, const char* b_label) {
-  std::ostringstream oss;
-  auto count = [&](const char* name, std::uint64_t a_value,
-                   std::uint64_t b_value) {
-    if (a_value != b_value) {
-      oss << name << ": " << a_label << " " << a_value << " vs " << b_label
-          << " " << b_value << "; ";
-    }
-  };
-  auto fluid = [&](const char* name, double a_value, double b_value) {
-    const double tolerance =
-        1e-9 + 1e-9 * std::max(std::abs(a_value), std::abs(b_value));
-    if (std::abs(a_value - b_value) > tolerance) {
-      oss.precision(17);
-      oss << name << ": " << a_label << " " << a_value << " vs " << b_label
-          << " " << b_value << "; ";
-    }
-  };
-
-  const Metrics& am = a.metrics();
-  const Metrics& bm = b.metrics();
-  count("arrivals", am.arrivals(), bm.arrivals());
-  count("accepts", am.accepts(), bm.accepts());
-  count("accepts_via_migration", am.accepts_via_migration(),
-        bm.accepts_via_migration());
-  count("rejects", am.rejects(), bm.rejects());
-  count("migration_steps", am.migration_steps(), bm.migration_steps());
-  count("completions", am.completions(), bm.completions());
-  count("drops", am.drops(), bm.drops());
-  count("underflow_events", am.underflow_events(), bm.underflow_events());
-  count("replications", am.replications(), bm.replications());
-  count("server_downs", am.server_downs(), bm.server_downs());
-  count("server_recoveries", am.server_recoveries(), bm.server_recoveries());
-  count("sheds", am.sheds(), bm.sheds());
-  count("interruptions", am.interruptions(), bm.interruptions());
-  count("retry_enqueued", am.retry_enqueued(), bm.retry_enqueued());
-  count("readmissions", am.readmissions(), bm.readmissions());
-  count("retry_abandoned", am.retry_abandoned(), bm.retry_abandoned());
-  count("repairs", am.repairs(), bm.repairs());
-  count("continuity_violations", a.continuity_violations(),
-        b.continuity_violations());
-  fluid("utilization", am.utilization(), bm.utilization());
-  fluid("rejection_ratio", am.rejection_ratio(), bm.rejection_ratio());
-  fluid("transmitted", am.transmitted(), bm.transmitted());
-  fluid("underflow_megabits", am.underflow_megabits(), bm.underflow_megabits());
-  fluid("replication_megabits", am.replication_megabits(),
-        bm.replication_megabits());
-  fluid("glitch_seconds", am.glitch_seconds(), bm.glitch_seconds());
-  fluid("availability", am.availability(), bm.availability());
-  return oss.str();
-}
-
-}  // namespace
-
 FuzzResult run_scenario(const SimulationConfig& config) {
   FuzzResult result;
   SimulationConfig audited = config;
   audited.paranoid = true;
   audited.fast_math = false;
-  // The baseline/auditor leg is always the single-queue engine (the auditor
-  // requires whole-cluster quiescence after every event); drawn shard
-  // counts apply to the sharded differential leg below.
-  audited.shards = 1;
   try {
     const RequestTrace trace = engine_trace(audited);
     VodSimulation engine(audited, trace);
@@ -842,46 +752,6 @@ FuzzResult run_scenario(const SimulationConfig& config) {
         result.failure = "fast/exact mismatch: " + diff;
       }
     }
-    if (result.passed) {
-      // Sharded/single differential: re-run the identical arrival trace on
-      // the sharded engine and diff against the audited single-queue run.
-      // A scenario that drew a shard count uses it; otherwise one shard
-      // per server, the maximally hostile partition (every migration,
-      // recovery, and replication crosses a shard boundary). Two drain
-      // workers exercise the parallel window path even on small worlds —
-      // the thread count cannot change results, only interleaving. Sharded
-      // runs default to fast math (build_world), so this leg is also the
-      // sharded+fast differential the production default now takes.
-      SimulationConfig shard_config = audited;
-      shard_config.paranoid = false;  // ignored when sharded; explicit
-      shard_config.shards =
-          config.shards > 1 ? config.shards : config.system.num_servers;
-      if (shard_config.shard_threads <= 0) shard_config.shard_threads = 2;
-      VodSimulation shard_engine(shard_config, trace);
-      shard_engine.run();
-      result.shard_checked = true;
-      const std::string diff =
-          diff_runs(engine, shard_engine, "single", "sharded");
-      if (!diff.empty()) {
-        result.passed = false;
-        result.failure = "shard/single mismatch: " + diff;
-      }
-      if (result.passed && config.seed % 4 == 0) {
-        // Exact-math opt-out coverage: a quarter of the scenarios re-run
-        // the sharded leg with exact_math set, keeping the sharded+exact
-        // combination (no longer the default) under the differential too.
-        SimulationConfig exact_shard_config = shard_config;
-        exact_shard_config.exact_math = true;
-        VodSimulation exact_shard_engine(exact_shard_config, trace);
-        exact_shard_engine.run();
-        const std::string exact_diff =
-            diff_runs(engine, exact_shard_engine, "single", "sharded-exact");
-        if (!exact_diff.empty()) {
-          result.passed = false;
-          result.failure = "shard/single mismatch (exact opt-out): " + exact_diff;
-        }
-      }
-    }
   } catch (const std::exception& error) {
     result.passed = false;
     result.failure = error.what();
@@ -893,14 +763,58 @@ std::string compare_fast_vs_exact(const VodSimulation& exact,
                                   const VodSimulation& fast) {
   // Same tolerance discipline as compare_against_engine: fast mode regroups
   // the metering summation, so fluid aggregates may drift at ulp scale but
-  // never past the oracle's relative bound.
-  return diff_runs(exact, fast, "exact", "fast");
+  // never past the oracle's relative bound. Discrete counters match exactly.
+  std::ostringstream oss;
+  auto count = [&](const char* name, std::uint64_t a_value,
+                   std::uint64_t b_value) {
+    if (a_value != b_value) {
+      oss << name << ": exact " << a_value << " vs fast " << b_value << "; ";
+    }
+  };
+  auto fluid = [&](const char* name, double a_value, double b_value) {
+    const double tolerance =
+        1e-9 + 1e-9 * std::max(std::abs(a_value), std::abs(b_value));
+    if (std::abs(a_value - b_value) > tolerance) {
+      oss.precision(17);
+      oss << name << ": exact " << a_value << " vs fast " << b_value << "; ";
+    }
+  };
+
+  const Metrics& am = exact.metrics();
+  const Metrics& bm = fast.metrics();
+  count("arrivals", am.arrivals(), bm.arrivals());
+  count("accepts", am.accepts(), bm.accepts());
+  count("accepts_via_migration", am.accepts_via_migration(),
+        bm.accepts_via_migration());
+  count("rejects", am.rejects(), bm.rejects());
+  count("migration_steps", am.migration_steps(), bm.migration_steps());
+  count("completions", am.completions(), bm.completions());
+  count("drops", am.drops(), bm.drops());
+  count("underflow_events", am.underflow_events(), bm.underflow_events());
+  count("replications", am.replications(), bm.replications());
+  count("server_downs", am.server_downs(), bm.server_downs());
+  count("server_recoveries", am.server_recoveries(), bm.server_recoveries());
+  count("sheds", am.sheds(), bm.sheds());
+  count("interruptions", am.interruptions(), bm.interruptions());
+  count("retry_enqueued", am.retry_enqueued(), bm.retry_enqueued());
+  count("readmissions", am.readmissions(), bm.readmissions());
+  count("retry_abandoned", am.retry_abandoned(), bm.retry_abandoned());
+  count("repairs", am.repairs(), bm.repairs());
+  count("continuity_violations", exact.continuity_violations(),
+        fast.continuity_violations());
+  fluid("utilization", am.utilization(), bm.utilization());
+  fluid("rejection_ratio", am.rejection_ratio(), bm.rejection_ratio());
+  fluid("transmitted", am.transmitted(), bm.transmitted());
+  fluid("underflow_megabits", am.underflow_megabits(), bm.underflow_megabits());
+  fluid("replication_megabits", am.replication_megabits(),
+        bm.replication_megabits());
+  fluid("glitch_seconds", am.glitch_seconds(), bm.glitch_seconds());
+  fluid("availability", am.availability(), bm.availability());
+  return oss.str();
 }
 
+
 void clamp_to_servers(SimulationConfig& config) {
-  if (config.shards > config.system.num_servers) {
-    config.shards = config.system.num_servers;
-  }
   if (config.failure.correlated.group_size > config.system.num_servers) {
     config.failure.correlated.group_size = config.system.num_servers;
   }
@@ -982,15 +896,6 @@ SimulationConfig shrink_scenario(SimulationConfig config) {
       [](SimulationConfig& c) { c.zipf_theta = 0.271; },
       [](SimulationConfig& c) { c.system.avg_copies = 1.0; },
       [](SimulationConfig& c) { c.warmup = 0.0; },
-      // Shard knobs. shards = 1 does NOT bypass the sharded differential
-      // (run_scenario then derives one shard per server) — it tests
-      // whether the drawn count mattered; halving probes the boundary
-      // density; one drain worker removes pool scheduling from the repro.
-      [](SimulationConfig& c) { c.shards = 1; },
-      [](SimulationConfig& c) {
-        if (c.shards > 2) c.shards = (c.shards + 1) / 2;
-      },
-      [](SimulationConfig& c) { c.shard_threads = 1; },
       [](SimulationConfig& c) {
         c.duration = 0.5 * c.duration;
         if (c.warmup >= c.duration) c.warmup = 0.0;
@@ -1001,8 +906,7 @@ SimulationConfig shrink_scenario(SimulationConfig config) {
           c.system.bandwidth_profile.clear();
           c.system.storage_profile.clear();
           // Every server-indexed knob must keep referencing real servers:
-          // shards (a shard owns >= 1 server), correlated group size, and
-          // the topology tree all re-clamp together.
+          // correlated group size and the topology tree re-clamp together.
           clamp_to_servers(c);
         }
       },
@@ -1204,8 +1108,6 @@ std::string to_gtest_case(const SimulationConfig& config,
   out << "  config.load_factor = " << literal(config.load_factor) << ";\n";
   out << "  config.duration = " << literal(config.duration) << ";\n";
   out << "  config.warmup = " << literal(config.warmup) << ";\n";
-  out << "  config.shards = " << config.shards << ";\n";
-  out << "  config.shard_threads = " << config.shard_threads << ";\n";
   out << "  config.seed = " << config.seed << "ULL;\n";
   out << "  const vodsim::FuzzResult result = vodsim::run_scenario(config);\n";
   out << "  EXPECT_TRUE(result.passed) << result.failure;\n";

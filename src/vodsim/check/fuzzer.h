@@ -39,13 +39,8 @@ struct FuzzResult {
   /// differentially compared against the exact engine (every passing
   /// scenario — both modes carry the auditor).
   bool fast_checked = false;
-  /// True when the scenario was additionally re-run on the sharded engine
-  /// (config.shards when drawn > 1, else one shard per server) and
-  /// differentially compared against the single-queue run (every passing
-  /// scenario; the single-mode leg carries the auditor).
-  bool shard_checked = false;
   /// Empty when passed; otherwise the auditor's message, the oracle diff,
-  /// the fast-vs-exact diff, or the shard-vs-single diff.
+  /// or the fast-vs-exact diff.
   std::string failure;
 };
 
@@ -73,12 +68,8 @@ std::vector<SimulationConfig> pathology_corpus();
 /// Every scenario (chaos configs included) is then re-run with
 /// `fast_math = true` on the same arrival trace and diffed against the
 /// exact run via compare_fast_vs_exact — the dual-exactness contract's
-/// enforcement point — and finally re-run on the *sharded* engine
-/// (config.shards when > 1, else one shard per server so every
-/// cross-server interaction crosses a shard boundary) and diffed against
-/// the single-queue run with the same discipline: discrete counters exact,
-/// fluid integrals within the oracle tolerance. Exceptions (AuditFailure
-/// included) are captured into the result, never propagated.
+/// enforcement point. Exceptions (AuditFailure included) are captured into
+/// the result, never propagated.
 FuzzResult run_scenario(const SimulationConfig& config);
 
 class VodSimulation;
@@ -102,7 +93,7 @@ std::string compare_fast_vs_exact(const VodSimulation& exact,
 SimulationConfig shrink_scenario(SimulationConfig config);
 
 /// Re-clamps every server-indexed knob to the current num_servers: the
-/// shard count, the correlated group size, and the topology tree (racks <=
+/// correlated group size and the topology tree (racks <=
 /// num_servers, zones <= racks). The shrinker's num_servers-halving
 /// transform calls this so a shrunk reproducer never references servers
 /// beyond the cluster it declares — without the clamp a halved chaos

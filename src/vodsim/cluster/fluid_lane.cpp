@@ -28,7 +28,14 @@ namespace {
 /// built with -ffp-contract=off (see src/CMakeLists.txt) so no clone can
 /// fuse multiply-adds into FMAs that round differently from the scalar
 /// path.
-#if defined(__x86_64__) && defined(__has_attribute)
+///
+/// ThreadSanitizer builds (-fsanitize=thread) take the plain baseline body:
+/// the clones' ifunc resolvers run before TSan's runtime is initialized and
+/// crash at load, so every test binary would segfault during gtest
+/// discovery. The clones are bit-identical to the baseline, so this changes
+/// speed only.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 #define VODSIM_BATCH_KERNEL_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))

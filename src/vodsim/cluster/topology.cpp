@@ -13,8 +13,8 @@ Topology::Topology(const TopologyConfig& config, int num_servers)
   assert(racks_ >= 1 && zones_ >= 1 && zones_ <= racks_);
   rack_of_server_.resize(static_cast<std::size_t>(num_servers));
   for (int s = 0; s < num_servers; ++s) {
-    // Same contiguous near-even block formula as the shard layout: integer
-    // arithmetic, no rounding surprises, blocks differ by at most one.
+    // Contiguous near-even blocks: integer arithmetic, no rounding
+    // surprises, blocks differ by at most one.
     rack_of_server_[static_cast<std::size_t>(s)] =
         static_cast<int>(static_cast<long long>(s) * racks_ / num_servers);
   }

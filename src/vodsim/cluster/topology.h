@@ -7,14 +7,12 @@
 /// zone's uplink browns out, a switch partitions a rack away from the
 /// controller. The Topology gives every layer that needs domain awareness
 /// (fault schedule generation, domain-spread placement, repair
-/// re-replication, shard layout, per-domain metrics) one shared, immutable
+/// re-replication, per-domain metrics) one shared, immutable
 /// answer to "which rack/zone is server s in?".
 ///
 /// Mapping is deterministic and contiguous: rack r covers servers
 /// [r*N/racks, (r+1)*N/racks) and zone z covers racks [z*R/zones,
-/// (z+1)*R/zones) — the same near-even block formula the sharded engine
-/// uses for its server blocks, so a rack-aligned shard layout falls out
-/// naturally (engine/vod_simulation.cpp build_shards). A
+/// (z+1)*R/zones) — integer near-even blocks that differ by at most one. A
 /// default-constructed (or disabled) Topology is the trivial one-rack,
 /// one-zone tree; every consumer treats it as "no topology".
 

@@ -47,15 +47,6 @@ void Simulator::run_until(Seconds horizon) {
   now_ = std::max(now_, horizon);
 }
 
-std::uint64_t Simulator::run_before(Seconds horizon) {
-  std::uint64_t executed = 0;
-  while (!queue_.empty() && queue_.peek_time() < horizon) {
-    step();
-    ++executed;
-  }
-  return executed;
-}
-
 void Simulator::run() {
   while (step()) {
   }

@@ -63,15 +63,6 @@ class Simulator {
   /// horizon (even if the queue empties earlier).
   void run_until(Seconds horizon);
 
-  /// Runs events with time strictly < horizon and stops; the clock is left
-  /// at the last executed event (NOT clamped to horizon). This is the
-  /// drain primitive of the sharded engine's conservative-lookahead
-  /// windows: a shard may execute everything before the next coupling
-  /// event at `horizon`, but must not consume the clock up to it —
-  /// events scheduled *at* horizon by the coordinator still belong to
-  /// the next window. Returns the number of events executed.
-  std::uint64_t run_before(Seconds horizon);
-
   /// Runs until the queue is empty.
   void run();
 
@@ -80,11 +71,6 @@ class Simulator {
 
   /// Live pending events.
   std::size_t pending_count() const { return queue_.size(); }
-
-  /// Earliest pending event time; call only when pending_count() > 0.
-  /// The sharded run loop peeks every shard queue to size each
-  /// conservative-lookahead window before dispatching the drains.
-  Seconds peek_time() const { return queue_.peek_time(); }
 
   /// Pre-sizes the event queue for \p events concurrently pending events.
   void reserve_events(std::size_t events) { queue_.reserve(events); }

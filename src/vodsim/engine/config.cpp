@@ -233,14 +233,6 @@ void SimulationConfig::validate() const {
   }
   if (trace.enabled && trace.capacity < 1) fail("trace capacity must be >= 1");
   if (probe.enabled && probe.period <= 0.0) fail("probe period must be > 0");
-  if (shards < 1) fail("shards must be >= 1");
-  if (shards > system.num_servers) {
-    fail("shards must not exceed num_servers (a shard owns >= 1 server)");
-  }
-  if (shard_threads < 0) fail("shard_threads must be >= 0");
-  if (fast_math && exact_math) {
-    fail("fast_math and exact_math are contradictory; pick one");
-  }
 }
 
 std::vector<double> normalize_profile(const std::vector<double>& profile,

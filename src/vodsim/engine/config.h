@@ -198,7 +198,7 @@ struct FailureConfig {
   /// retry fires inside the same window double-counts the same
   /// viewer-facing gap (one glitch at shed, another at readmission).
   /// 0 disables dedupe. Engine-mode neutral: the window key lives on the
-  /// Request, so exact/fast/sharded runs count identically.
+  /// Request, so exact and fast runs count identically.
   Seconds glitch_dedupe_window = 1.0;
 };
 
@@ -230,8 +230,7 @@ struct SimulationConfig {
   /// Failure-domain tree (cluster/topology.h): server → rack → zone.
   /// Disabled (the default) is the trivial one-rack tree; every
   /// topology-aware feature (failure.domains, domain_spread placement,
-  /// rack-aligned shards, per-domain metrics) degrades to its legacy
-  /// behavior bit-for-bit.
+  /// per-domain metrics) degrades to its legacy behavior bit-for-bit.
   TopologyConfig topology;
 
   PlacementConfig placement;
@@ -280,42 +279,7 @@ struct SimulationConfig {
   /// exact mode within the reference-oracle tolerance — check/fuzzer.h
   /// runs every scenario through both modes and diffs them. The
   /// VODSIM_FAST_MATH environment variable (nonzero) forces it on.
-  ///
-  /// Defaults: single-queue runs (shards == 1) are exact unless this flag
-  /// (or the env var) opts in. Sharded runs (shards > 1) default to fast
-  /// math — their aggregates already live under the differential tolerance
-  /// rather than the hexfloat goldens, so exact mode buys them nothing;
-  /// set exact_math to opt back out.
   bool fast_math = false;
-
-  /// Opt sharded runs out of the fast-math default (and rejects a
-  /// contradictory fast_math=true via validate()). The VODSIM_EXACT_MATH
-  /// environment variable (nonzero) forces it on. At shards == 1 this is a
-  /// no-op: single-queue runs are exact by default.
-  bool exact_math = false;
-
-  /// Shard count for the parallel sharded engine (DESIGN.md §12). 1 (the
-  /// default) runs the classic single-queue engine — that path is pinned
-  /// bit-for-bit by the hexfloat determinism goldens. shards > 1 splits
-  /// the cluster into contiguous server blocks, each with its own event
-  /// queue, Metrics shard, scheduler instance, and scratch arenas; the
-  /// coordinator executes every coupling event (arrivals, admission,
-  /// migration, replication, faults, retry, pause/resume, playback end)
-  /// serially in global time order, and between coupling events the
-  /// shards drain their predicted per-stream events (tx-complete,
-  /// buffer-full, buffer-low) in parallel under a conservative-lookahead
-  /// window. Sharded mode has its own determinism contract: a fixed
-  /// shard count is bit-reproducible at any worker-thread count; counts
-  /// match single-engine runs exactly and fluid aggregates agree within
-  /// the oracle tolerance (enforced by check/fuzzer.h differentially).
-  /// Must satisfy 1 <= shards <= system.num_servers.
-  int shards = 1;
-
-  /// Worker threads for the sharded drain windows; 0 = hardware
-  /// concurrency. Ignored when shards == 1. Any value produces identical
-  /// bits for a fixed shard count (each shard drains serially; merges
-  /// happen in shard-index order).
-  int shard_threads = 0;
 
   /// Attach the runtime invariant auditor (check/invariant_auditor.h) to
   /// this trial: every executed event is followed by a full physical-state

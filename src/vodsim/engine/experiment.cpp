@@ -54,8 +54,6 @@ TrialResult TrialResult::from(const VodSimulation& simulation) {
     result.zone_availability.push_back(metrics.zone_availability(z));
     result.zone_glitch_seconds.push_back(metrics.zone_glitch_seconds(z));
   }
-  result.coordinator_events = simulation.coordinator_events();
-  result.shard_events = simulation.shard_events();
   return result;
 }
 

@@ -67,12 +67,6 @@ struct TrialResult {
   std::vector<double> rack_glitch_seconds;
   std::vector<double> zone_glitch_seconds;
 
-  // Sharded-engine block (DESIGN.md §12; shard_events is 0 when shards=1).
-  // coordinator / (coordinator + shard) is the run's measured serial
-  // fraction — the Amdahl ceiling for parallel speedup on this workload.
-  std::uint64_t coordinator_events = 0;  ///< events on the coordinator queue
-  std::uint64_t shard_events = 0;        ///< events drained by all shards
-
   static TrialResult from(const VodSimulation& simulation);
 };
 

@@ -152,26 +152,6 @@ void Metrics::record_partition_heal(Seconds t, Seconds duration) {
   partition_time_.add(duration);
 }
 
-void Metrics::merge_shard(const Metrics& shard, double transmitted_scale) {
-  transmitted_ += shard.transmitted_ * transmitted_scale;
-  underflow_events_ += shard.underflow_events_;
-  underflow_megabits_ += shard.underflow_megabits_;
-  interruptions_ += shard.interruptions_;
-  glitch_seconds_ += shard.glitch_seconds_;
-  // Per-domain glitch attribution follows the cluster-wide sum (shards
-  // record client starvation; capacity loss stays coordinator-only).
-  for (std::size_t r = 0;
-       r < rack_glitch_seconds_.size() && r < shard.rack_glitch_seconds_.size();
-       ++r) {
-    rack_glitch_seconds_[r] += shard.rack_glitch_seconds_[r];
-  }
-  for (std::size_t z = 0;
-       z < zone_glitch_seconds_.size() && z < shard.zone_glitch_seconds_.size();
-       ++z) {
-    zone_glitch_seconds_[z] += shard.zone_glitch_seconds_[z];
-  }
-}
-
 void Metrics::record_retry_enqueued(Seconds t) {
   (void)t;
   ++retry_enqueued_;

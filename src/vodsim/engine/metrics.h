@@ -108,18 +108,6 @@ class Metrics {
   /// A repair re-replication was planned for a long-down server's video.
   void record_repair(Seconds t);
 
-  /// Folds in the fields a sharded run's per-shard Metrics write — the
-  /// transmission meter and the client-side starvation accounting
-  /// (underflows, glitches/interruptions). Every other counter (arrivals,
-  /// admissions, migrations, faults, retries, replication, capacity loss)
-  /// is recorded by the coordinator on the root instance directly and
-  /// must NOT be merged. Integer counts add exactly; the FP sums are
-  /// regrouped shard-major — the same ulp-scale regrouping the fast-math
-  /// metering contract already tolerates. \p transmitted_scale is 1.0
-  /// except under the VODSIM_TEST_SHARD_BUG negative test, which biases
-  /// the merge to prove the sharded/single differential fires.
-  void merge_shard(const Metrics& shard, double transmitted_scale = 1.0);
-
   /// Attaches the analytic achievability envelope for this trial's
   /// configuration (analysis/bounds.h): the utilization no policy can
   /// exceed and the rejection ratio none can beat. Set once at world

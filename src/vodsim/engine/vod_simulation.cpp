@@ -13,64 +13,10 @@
 #include "vodsim/sched/intermittent.h"
 #include "vodsim/util/env.h"
 #include "vodsim/util/log.h"
-#include "vodsim/util/thread_pool.h"
 #include "vodsim/workload/catalog.h"
 #include "vodsim/workload/poisson.h"
 
 namespace vodsim {
-
-namespace detail {
-
-/// One shard of the parallel engine (DESIGN.md §12): a contiguous block of
-/// servers [first_server, end_server) with everything their predicted
-/// per-stream events (tx-complete, buffer-full, buffer-low) touch — an
-/// event queue, a Metrics shard, a scheduler instance, scratch arenas, a
-/// tagged trace recorder. Coordinator events (admission, migration,
-/// replication, faults, retries, pause/resume, playback end) run serially
-/// on the root simulator and may touch any shard's servers; between
-/// coordinator events, each shard drains its own queue with no shared
-/// mutable state, so the drains parallelize with no locks.
-struct EngineShard {
-  int index = 0;
-  int first_server = 0;
-  int end_server = 0;  ///< exclusive
-  Simulator sim;
-  std::unique_ptr<Metrics> metrics;
-  std::unique_ptr<TraceRecorder> trace;
-  std::unique_ptr<BandwidthScheduler> scheduler;
-  std::uint64_t continuity_violations = 0;
-  std::vector<Mbps> rates_scratch;
-  AllocationScratch sched_scratch;
-  std::vector<Megabits> underflow_scratch;
-  std::vector<std::size_t> changed_slots;
-  std::vector<Seconds> retime_tx;
-  std::vector<Seconds> retime_full;
-  std::vector<Seconds> retime_low;
-};
-
-}  // namespace detail
-
-namespace {
-
-/// The shard whose queue the calling thread is currently draining, or
-/// nullptr on the coordinator (and everywhere in single mode). The engine's
-/// context-dependent helpers (note, advance_and_account, recompute_server,
-/// ...) consult this to resolve "now", the metrics sink, the scheduler and
-/// the scratch arenas — so the same functions serve both modes, and the
-/// single-mode path never branches into shard state. thread_local because
-/// drains run on pool workers (and concurrent sweep trials may each be
-/// draining their own shards on the same pool).
-thread_local detail::EngineShard* t_shard = nullptr;
-
-/// RAII current-shard marker for one drain.
-struct ScopedShard {
-  explicit ScopedShard(detail::EngineShard& shard) { t_shard = &shard; }
-  ~ScopedShard() { t_shard = nullptr; }
-  ScopedShard(const ScopedShard&) = delete;
-  ScopedShard& operator=(const ScopedShard&) = delete;
-};
-
-}  // namespace
 
 VodSimulation::VodSimulation(SimulationConfig config) : config_(std::move(config)) {
   build_world();
@@ -206,27 +152,13 @@ void VodSimulation::build_world() {
   occupancy_.assign(servers_.size(), TimeWeighted(config_.warmup, config_.duration));
   recompute_state_.assign(servers_.size(), ServerRecomputeState{});
 
-  sharded_ = config_.shards > 1;
-  // Test-only: deliberately mis-scale the shard-metrics merge so the
-  // sharded/single differential harness provably catches a cross-mode
-  // aggregation bug (tests/check_fuzz_test.cpp). Same shape as the
-  // fast-math seeded bug: biased low, caught by the differential.
-  shard_seeded_bug_ = env_long("VODSIM_TEST_SHARD_BUG", 0) != 0;
-
-  // Request storage: one pool per shard plus the coordinator pool, so shard
-  // workers stop interleaving their streams' cache lines in one shared
-  // StableVector (engine/request_arena.h). Single mode keeps exactly one
-  // pool — the old single-arena layout, byte for byte.
-  requests_.reset(sharded_ ? static_cast<std::size_t>(config_.shards) + 1 : 1);
-
   // Pre-size the hot-path buffers so the steady-state event loop never
   // allocates: playback-end plus (with interactivity) one pending
   // pause/resume per concurrent stream, one predicted-event timer per
-  // server (held by the shard queues when sharded, see build_shards), and
-  // one rate per stream per server.
+  // server, and one rate per stream per server.
   const std::size_t max_streams = static_cast<std::size_t>(
       config_.system.total_bandwidth() / config_.system.view_bandwidth);
-  sim_.reserve_events(2 * max_streams + (sharded_ ? 0 : servers_.size()) + 64);
+  sim_.reserve_events(2 * max_streams + servers_.size() + 64);
   const std::size_t per_server =
       static_cast<std::size_t>(config_.system.server_bandwidth /
                                config_.system.view_bandwidth) + 8;
@@ -240,17 +172,9 @@ void VodSimulation::build_world() {
   retime_low_.reserve(per_server);
 
   // Engine mode (SimulationConfig::fast_math documents the dual-exactness
-  // contract). The env overrides mirror VODSIM_PARANOID. Sharded runs
-  // default to fast math — their aggregates already live under the
-  // differential tolerance, not the hexfloat goldens, so there is nothing
-  // exact mode buys them; config.exact_math (or VODSIM_EXACT_MATH) opts
-  // back out. Single-queue runs stay exact by default, keeping the 29
-  // goldens binding.
-  const bool exact_requested =
-      config_.exact_math || env_long("VODSIM_EXACT_MATH", 0) != 0;
-  fast_math_ = !exact_requested &&
-               (config_.fast_math || env_long("VODSIM_FAST_MATH", 0) != 0 ||
-                sharded_);
+  // contract). The env override mirrors VODSIM_PARANOID. Exact is the
+  // default, keeping the 29 goldens binding.
+  fast_math_ = config_.fast_math || env_long("VODSIM_FAST_MATH", 0) != 0;
   // Test-only: deliberately mis-aggregate the batch metering so the
   // fast-vs-exact differential harness provably catches a batching bug
   // (tests/check_test.cpp). Biased low, not high, so the invariant
@@ -282,11 +206,7 @@ void VodSimulation::build_world() {
   // The auditor is a pure observer: it reads state after each event and
   // throws AuditFailure on a violated invariant, never mutating anything,
   // so enabling it cannot perturb results (pinned by determinism_test).
-  // Sharded runs ignore it (its audits assume the whole cluster quiesces
-  // after every event, which only the coordinator queue provides); the
-  // single-mode half of the sharded/single differential carries the
-  // auditor instead (check/fuzzer.cpp).
-  if (!sharded_ && (config_.paranoid || env_long("VODSIM_PARANOID", 0) != 0)) {
+  if (config_.paranoid || env_long("VODSIM_PARANOID", 0) != 0) {
     auditor_ = std::make_unique<InvariantAuditor>(*this);
   }
 
@@ -324,10 +244,7 @@ void VodSimulation::build_world() {
     probe_config.enabled = true;
     probe_config.period = env_probe;
   }
-  // Probes sample on the root post-event hook, which in sharded mode fires
-  // only on coordinator events and would read shard state mid-window-lag;
-  // disabled there (documented in DESIGN.md §12), like the auditor.
-  if (!sharded_ && probe_config.enabled) {
+  if (probe_config.enabled) {
     probes_ = std::make_unique<ProbeSet>(probe_config, servers_.size());
   }
 
@@ -341,78 +258,6 @@ void VodSimulation::build_world() {
     });
   }
 
-  if (sharded_) build_shards(trace_config);
-}
-
-void VodSimulation::build_shards(const TraceConfig& trace_config) {
-  const int num_servers = config_.system.num_servers;
-  const int shards = config_.shards;
-  shard_of_server_.assign(static_cast<std::size_t>(num_servers), 0);
-  const std::size_t per_server =
-      static_cast<std::size_t>(config_.system.server_bandwidth /
-                               config_.system.view_bandwidth) + 8;
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int k = 0; k < shards; ++k) {
-    auto shard = std::make_unique<detail::EngineShard>();
-    shard->index = k;
-    // Contiguous near-even blocks: consecutive servers share a shard, so
-    // the fault subsystem's correlated (rack/zone) groups of consecutive
-    // servers land inside one shard whenever group_size divides the block.
-    // With a failure-domain tree and shards <= racks, blocks snap to rack
-    // boundaries: each shard owns a whole rack range, so a rack outage or
-    // partition perturbs exactly one shard's servers and the shard
-    // protocol's coupling set matches the fault-group topology. shards == 1
-    // yields [0, N) either way, keeping the single-shard equivalence exact.
-    if (topology_.enabled() && shards <= topology_.racks()) {
-      shard->first_server = topology_.rack_first(k * topology_.racks() / shards);
-      shard->end_server =
-          topology_.rack_end((k + 1) * topology_.racks() / shards - 1);
-    } else {
-      shard->first_server = k * num_servers / shards;
-      shard->end_server = (k + 1) * num_servers / shards;
-    }
-    for (int s = shard->first_server; s < shard->end_server; ++s) {
-      shard_of_server_[static_cast<std::size_t>(s)] = k;
-    }
-    shard->metrics = std::make_unique<Metrics>(
-        config_.warmup, config_.duration, config_.system.total_bandwidth());
-    if (topology_.enabled()) {
-      // Shards attribute their glitches per domain too; merge_shard folds
-      // the vectors into the root instance after the run.
-      std::vector<Mbps> server_bandwidth;
-      server_bandwidth.reserve(servers_.size());
-      for (const Server& server : servers_) {
-        server_bandwidth.push_back(server.bandwidth());
-      }
-      shard->metrics->set_topology(&topology_, server_bandwidth);
-    }
-    // Per-shard scheduler instance: allocate() is const/deterministic, so
-    // replicas produce identical rates; owning one per shard keeps its
-    // trace emission on the shard's own recorder and off shared state.
-    if (config_.scheduler == SchedulerKind::kIntermittent) {
-      shard->scheduler = std::make_unique<IntermittentScheduler>(
-          config_.intermittent_safety_cover);
-    } else {
-      shard->scheduler = make_scheduler(config_.scheduler);
-    }
-    if (trace_config.enabled) {
-      shard->trace = std::make_unique<TraceRecorder>(trace_config, k);
-      shard->scheduler->set_trace(shard->trace.get());
-    }
-    // The shard queue holds one predicted-event timer per server.
-    const std::size_t block =
-        static_cast<std::size_t>(shard->end_server - shard->first_server);
-    shard->sim.reserve_events(block);
-    shard->rates_scratch.reserve(per_server);
-    shard->sched_scratch.order.reserve(per_server);
-    shard->sched_scratch.aux.reserve(per_server);
-    shard->underflow_scratch.reserve(per_server);
-    shard->changed_slots.reserve(per_server);
-    shard->retime_tx.reserve(per_server);
-    shard->retime_full.reserve(per_server);
-    shard->retime_low.reserve(per_server);
-    shards_.push_back(std::move(shard));
-  }
 }
 
 const Metrics& VodSimulation::run() {
@@ -424,35 +269,14 @@ const Metrics& VodSimulation::run() {
     sim_.schedule_at(event.time, [this, event](Seconds) { apply_fault(event); });
   }
 
-  if (sharded_) {
-    run_sharded_windows();
-  } else {
-    sim_.run_until(config_.duration);
-  }
+  sim_.run_until(config_.duration);
 
-  // Flush in-flight transmissions into the measurement window. Sharded
-  // runs flush each shard's servers under that shard's context so the
-  // tail transmission lands in the shard's own Metrics (merged below).
-  if (sharded_) {
-    for (auto& shard : shards_) {
-      ScopedShard scoped(*shard);
-      for (int s = shard->first_server; s < shard->end_server; ++s) {
-        for (Request* request : servers_[static_cast<std::size_t>(s)]
-                                    .active_requests()) {
-          advance_and_account(*request, config_.duration);
-        }
-      }
+  // Flush in-flight transmissions into the measurement window.
+  for (Server& server : servers_) {
+    for (Request* request : server.active_requests()) {
+      advance_and_account(*request, config_.duration);
     }
-    for (Server& server : servers_) {
-      occupancy_[static_cast<std::size_t>(server.id())].flush(config_.duration);
-    }
-  } else {
-    for (Server& server : servers_) {
-      for (Request* request : server.active_requests()) {
-        advance_and_account(*request, config_.duration);
-      }
-      occupancy_[static_cast<std::size_t>(server.id())].flush(config_.duration);
-    }
+    occupancy_[static_cast<std::size_t>(server.id())].flush(config_.duration);
   }
   // Close still-open fault episodes into the availability integral.
   for (std::size_t s = 0; s < servers_.size(); ++s) {
@@ -476,78 +300,7 @@ const Metrics& VodSimulation::run() {
                       retry_queue_ ? retry_queue_->size() : 0);
   }
   if (auditor_) auditor_->finalize();
-
-  // Fold the per-shard counters into the published Metrics. Integer counts
-  // add exactly; the fluid sums regroup shard-major, which is the sharded
-  // determinism contract's accepted FP regrouping (the sharded/single
-  // differential bounds it with the PR 6 oracle tolerance).
-  for (const auto& shard : shards_) {
-    metrics_->merge_shard(*shard->metrics, shard_seeded_bug_ ? 0.999 : 1.0);
-  }
   return *metrics_;
-}
-
-void VodSimulation::run_sharded_windows() {
-  // Lazily spawn the drain workers: construct-only call sites (tests
-  // probing configuration, bounds-only runs) never pay for threads.
-  if (!shard_pool_) {
-    shard_pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(config_.shard_threads));
-  }
-  const Seconds horizon = config_.duration;
-  while (true) {
-    // Conservative lookahead: every pending shard event strictly before the
-    // next coordinator event is causally independent of it (shard handlers
-    // never touch another shard or schedule coordinator events), so the
-    // drains below commute with each other and with the waiting
-    // coordinator event. Ties at the window edge go to the coordinator —
-    // the one documented (measure-zero) ordering divergence from the
-    // single-queue engine (DESIGN.md §12).
-    const bool coordinator_has_work =
-        sim_.pending_count() > 0 && sim_.peek_time() <= horizon;
-    const Seconds window_end = coordinator_has_work ? sim_.peek_time() : horizon;
-
-    int busy = 0;
-    detail::EngineShard* last_busy = nullptr;
-    for (const auto& shard : shards_) {
-      if (shard->sim.pending_count() > 0 &&
-          shard->sim.peek_time() < window_end) {
-        ++busy;
-        last_busy = shard.get();
-      }
-    }
-    if (busy == 1) {
-      // Common small-window case: skip the fan-out/join round-trip.
-      ScopedShard scoped(*last_busy);
-      last_busy->sim.run_before(window_end);
-    } else if (busy > 1) {
-      // Each shard drains serially on whichever worker picks it up, and the
-      // parallel_for join gives every drain a happens-before edge to the
-      // coordinator step below — so the result is bit-identical at any
-      // thread count, and TSan-clean.
-      shard_pool_->parallel_for(
-          shards_.size(), [this, window_end](std::size_t i) {
-            detail::EngineShard& shard = *shards_[i];
-            if (shard.sim.pending_count() == 0 ||
-                shard.sim.peek_time() >= window_end) {
-              return;
-            }
-            ScopedShard scoped(shard);
-            shard.sim.run_before(window_end);
-          });
-    }
-
-    if (!coordinator_has_work) break;
-    sim_.step();  // exactly one coupling event per window, serially
-  }
-  // Tail: no coordinator events remain at or before the horizon, so each
-  // shard can run inclusively to it (run_until also clamps the shard
-  // clock there, matching single mode's end-of-run state).
-  shard_pool_->parallel_for(shards_.size(), [this, horizon](std::size_t i) {
-    ScopedShard scoped(*shards_[i]);
-    shards_[i]->sim.run_until(horizon);
-  });
-  sim_.run_until(horizon);
 }
 
 void VodSimulation::schedule_next_arrival() {
@@ -569,12 +322,8 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
   const AdmissionDecision decision =
       controller_->decide(now, arrival.video, video.view_bandwidth, servers_, rng_);
 
-  // Pool by destination shard (rejected arrivals stay coordinator-side),
-  // so a stream's Request lands in the arena pool of the shard whose
-  // worker will mutate it (engine/request_arena.h).
   Request& request =
-      requests_.create(request_pool(decision.accepted ? decision.server : kNoServer),
-                       next_request_id_++, video, now, client_profile_);
+      requests_.emplace_back(next_request_id_++, video, now, client_profile_);
 
   if (!decision.accepted) {
     note(TraceEventType::kReject, kTraceAdmission, kNoServer, request.id(),
@@ -700,10 +449,7 @@ void VodSimulation::finish_migration(Request& request, ServerId target) {
 }
 
 void VodSimulation::on_tx_complete(Request& request) {
-  // Shard-local event: fires from the owning shard's drain (or from the
-  // root queue in single mode) and touches only the request, its server,
-  // and shard-context accounting — never another shard, never the RNG.
-  const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
+  const Seconds now = sim_.now();
   const ServerId server = request.server();
   assert(server != kNoServer);
   advance_and_account(request, now);
@@ -1086,9 +832,8 @@ void VodSimulation::process_retries(bool force) {
       } else {
         // A rejected arrival returns: fresh stream, fresh playback window.
         const Video& video = (*catalog_)[entry.video];
-        Request& request = requests_.create(request_pool(decision.server),
-                                            next_request_id_++, video, now,
-                                            client_profile_);
+        Request& request = requests_.emplace_back(next_request_id_++, video,
+                                                  now, client_profile_);
         note(TraceEventType::kRetryReadmitted, kTraceFailure, decision.server,
              request.id(), entry.video, static_cast<double>(entry.attempts));
         request.begin_streaming(now, decision.server);
@@ -1169,14 +914,7 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
 void VodSimulation::recompute_server(ServerId server_id) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   ServerRecomputeState& state = recompute_state_[static_cast<std::size_t>(server_id)];
-  // Executing context: a shard drain recomputes at its own clock with its
-  // own scheduler instance and scratch arenas (it only ever reaches its
-  // own servers); the coordinator — and all of single mode — uses the
-  // root set. Same code, same FP operation order either way.
-  detail::EngineShard* const shard = t_shard;
-  assert(shard == nullptr ||
-         (server_id >= shard->first_server && server_id < shard->end_server));
-  const Seconds now = shard != nullptr ? shard->sim.now() : sim_.now();
+  const Seconds now = sim_.now();
   // Memo: several events at one timestamp often recompute the same server.
   // A repeat with unchanged inputs is a pure no-op — advance would see dt=0,
   // allocate is deterministic in its inputs (including the intermittent
@@ -1197,31 +935,23 @@ void VodSimulation::recompute_server(ServerId server_id) {
     for (Request* request : active) advance_and_account(*request, now);
   }
 
-  BandwidthScheduler& scheduler =
-      shard != nullptr ? *shard->scheduler : *scheduler_;
-  std::vector<Mbps>& rates =
-      shard != nullptr ? shard->rates_scratch : rates_scratch_;
-  AllocationScratch& scratch =
-      shard != nullptr ? shard->sched_scratch : sched_scratch_;
-  scheduler.allocate(now, server.schedulable_bandwidth(), active, rates,
-                     scratch, &state.sched_cache);
+  scheduler_->allocate(now, server.schedulable_bandwidth(), active,
+                       rates_scratch_, sched_scratch_, &state.sched_cache);
 
   // Phase 1: write the new allocations (ascending slot order, as the old
   // fused loop did) and collect the slots whose rate actually moved.
   // Exact comparison on purpose: the common case (rate == view bandwidth,
   // assigned from the same double every recomputation) stays bit-identical,
   // so unchanged requests keep their predicted events.
-  std::vector<std::size_t>& changed =
-      shard != nullptr ? shard->changed_slots : changed_slots_;
-  changed.clear();
+  changed_slots_.clear();
   for (std::size_t i = 0; i < active.size(); ++i) {
     Request& request = *active[i];
-    if (rates[i] != request.allocation()) {
+    if (rates_scratch_[i] != request.allocation()) {
       note(TraceEventType::kAllocationChange, kTraceAllocation, server_id,
            request.id(), request.video_id(), request.allocation(),
-           rates[i]);
-      request.set_allocation(now, rates[i]);
-      changed.push_back(i);
+           rates_scratch_[i]);
+      request.set_allocation(now, rates_scratch_[i]);
+      changed_slots_.push_back(i);
     }
   }
 
@@ -1233,23 +963,20 @@ void VodSimulation::recompute_server(ServerId server_id) {
   // single-stream-delta steady state) keep the scalar formulas — filling
   // the whole lane to retime two slots would waste the divisions the batch
   // amortizes.
-  if (changed.size() >= 8 && changed.size() * 4 >= active.size()) {
-    std::vector<Seconds>& tx = shard != nullptr ? shard->retime_tx : retime_tx_;
-    std::vector<Seconds>& full =
-        shard != nullptr ? shard->retime_full : retime_full_;
-    std::vector<Seconds>& low = shard != nullptr ? shard->retime_low : retime_low_;
+  if (changed_slots_.size() >= 8 && changed_slots_.size() * 4 >= active.size()) {
     server.lane().fill_predicted_times(now, config_.intermittent_safety_cover,
-                                       tx, full, low);
+                                       retime_tx_, retime_full_, retime_low_);
     server.lane().defer_earliest();  // one rescan beats per-store upkeep
-    for (const std::size_t i : changed) {
-      apply_predicted_times(*active[i], tx[i], full[i], low[i]);
+    for (const std::size_t i : changed_slots_) {
+      apply_predicted_times(*active[i], retime_tx_[i], retime_full_[i],
+                            retime_low_[i]);
     }
   } else {
-    for (const std::size_t i : changed) {
+    for (const std::size_t i : changed_slots_) {
       reschedule_predicted_events(*active[i]);
     }
   }
-  if (!changed.empty()) sync_server_timer(server_id);
+  if (!changed_slots_.empty()) sync_server_timer(server_id);
   // Record *after* the advances above bumped the epoch: the server is clean
   // as of the state this pass just produced.
   state.clean_time = now;
@@ -1267,16 +994,12 @@ void VodSimulation::advance_and_account(Request& request, Seconds now) {
   // eligibility and finish-time ordering on the hosting server.
   mark_server_dirty(request.server());
   const Seconds interval_start = request.last_update();
-  // A shard drain accounts into its own Metrics shard (merged after the
-  // run); the auditor is never active in sharded mode (build_world).
-  detail::EngineShard* const shard = t_shard;
-  Metrics& metrics = shard != nullptr ? *shard->metrics : *metrics_;
-  metrics.record_transmission(interval_start, now, request.allocation());
+  metrics_->record_transmission(interval_start, now, request.allocation());
   if (auditor_) auditor_->on_advance(request, interval_start, now);
   const Megabits underflow = request.advance(now);
   if (underflow > 0.0) {
-    ++(shard != nullptr ? shard->continuity_violations : continuity_violations_);
-    metrics.record_underflow(now, underflow);
+    ++continuity_violations_;
+    metrics_->record_underflow(now, underflow);
     // Viewer-facing resilience accounting: the megabits short translate to
     // seconds of starved playback at the view rate. One counted
     // interruption per stream per dedupe window: a shed-then-readmitted
@@ -1289,10 +1012,10 @@ void VodSimulation::advance_and_account(Request& request, Seconds now) {
     // Attribution uses last_server, not server(): a parked orphan (server()
     // == kNoServer) still charges its glitch to the domain that lost it.
     if (dedupe > 0.0 && request.last_glitch_window == window_idx) {
-      metrics.record_glitch_seconds(now, underflow / request.view_bandwidth(),
+      metrics_->record_glitch_seconds(now, underflow / request.view_bandwidth(),
                                     request.last_server);
     } else {
-      metrics.record_glitch(now, underflow / request.view_bandwidth(),
+      metrics_->record_glitch(now, underflow / request.view_bandwidth(),
                             request.last_server);
       request.last_glitch_window = window_idx;
     }
@@ -1308,11 +1031,7 @@ void VodSimulation::advance_and_account(Request& request, Seconds now) {
 }
 
 void VodSimulation::batch_advance_server(Server& server) {
-  detail::EngineShard* const shard = t_shard;
-  const Seconds now = shard != nullptr ? shard->sim.now() : sim_.now();
-  Metrics& metrics = shard != nullptr ? *shard->metrics : *metrics_;
-  std::vector<Megabits>& underflow_scratch =
-      shard != nullptr ? shard->underflow_scratch : underflow_scratch_;
+  const Seconds now = sim_.now();
   FluidLane& lane = server.lane();
   const std::vector<Request*>& active = server.active_requests();
 
@@ -1328,32 +1047,31 @@ void VodSimulation::batch_advance_server(Server& server) {
   }
 
   const FluidLane::BatchResult batch =
-      lane.advance_batch(now, config_.warmup, config_.duration, underflow_scratch);
+      lane.advance_batch(now, config_.warmup, config_.duration, underflow_scratch_);
   if (batch.advanced > 0) mark_server_dirty(server.id());
 
   Megabits metered = batch.transmitted_in_window;
   if (fast_math_seeded_bug_) metered *= 0.999;  // test-only, see build_world
-  metrics.record_transmitted_sum(metered);
+  metrics_->record_transmitted_sum(metered);
 
   if (batch.any_underflow) {
     // Rare path: per-stream accounting identical to advance_and_account's.
     for (Request* request : active) {
-      const Megabits underflow = underflow_scratch[request->active_index];
+      const Megabits underflow = underflow_scratch_[request->active_index];
       if (underflow <= 0.0) continue;
-      ++(shard != nullptr ? shard->continuity_violations
-                          : continuity_violations_);
-      metrics.record_underflow(now, underflow);
+      ++continuity_violations_;
+      metrics_->record_underflow(now, underflow);
       // Same per-stream interruption dedupe as advance_and_account: the
-      // window key lives on the Request, so both engine modes (and every
-      // shard) count identically.
+      // window key lives on the Request, so both engine modes count
+      // identically.
       const Seconds dedupe = config_.failure.glitch_dedupe_window;
       const std::int64_t window_idx =
           dedupe > 0.0 ? static_cast<std::int64_t>(now / dedupe) : -1;
       if (dedupe > 0.0 && request->last_glitch_window == window_idx) {
-        metrics.record_glitch_seconds(
+        metrics_->record_glitch_seconds(
             now, underflow / request->view_bandwidth(), request->last_server);
       } else {
-        metrics.record_glitch(now, underflow / request->view_bandwidth(),
+        metrics_->record_glitch(now, underflow / request->view_bandwidth(),
                               request->last_server);
         request->last_glitch_window = window_idx;
       }
@@ -1488,20 +1206,16 @@ void VodSimulation::attach_to(ServerId server_id, Request& request) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   mark_server_dirty(server_id);
   server.attach(request, /*enforce_capacity=*/!config_.admission.buffer_aware);
-  // Executing-context clock: a shard-drain detach (tx-complete) is ahead of
-  // the stale coordinator clock, and occupancy integrates real intervals.
-  const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
   occupancy_[static_cast<std::size_t>(server_id)].update(
-      now, static_cast<double>(server.active_count()));
+      sim_.now(), static_cast<double>(server.active_count()));
 }
 
 void VodSimulation::detach_from(ServerId server_id, Request& request) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   mark_server_dirty(server_id);
   server.detach(request);
-  const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
   occupancy_[static_cast<std::size_t>(server_id)].update(
-      now, static_cast<double>(server.active_count()));
+      sim_.now(), static_cast<double>(server.active_count()));
 }
 
 VodSimulation::OccupancySummary VodSimulation::occupancy() const {
@@ -1535,7 +1249,7 @@ void VodSimulation::cancel_predicted_events(Request& request) {
 
 void VodSimulation::reschedule_predicted_events(Request& request) {
   assert(request.state() == RequestState::kStreaming);
-  const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
+  const Seconds now = sim_.now();
   const Mbps rate = request.allocation();
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
@@ -1574,12 +1288,8 @@ void VodSimulation::reschedule_predicted_events(Request& request) {
 void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
                                           Seconds full_at, Seconds low_at) {
   assert(request.state() == RequestState::kStreaming);
-  // Keys come from the owning (shard) queue and are clamped to its clock,
-  // as schedule_at clamps. A coordinator caller targets a shard queue whose
-  // clock lags (it drained strictly below this event's time), so the clamp
-  // can never move a prediction backwards.
-  Simulator& psim = predicted_sim(request.server());
-  const Seconds clock = psim.now();
+  // Keys are clamped to the clock, as schedule_at clamps.
+  const Seconds clock = sim_.now();
   FluidLane& lane = servers_[static_cast<std::size_t>(request.server())].lane();
   const std::size_t slot = request.active_index;
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
@@ -1598,7 +1308,7 @@ void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
   const auto keep = [&](Prediction kind, bool live, Seconds at) {
     if (live) {
       lane.set_prediction(slot, kind,
-                          EventKey{std::max(at, clock), psim.draw_seq()});
+                          EventKey{std::max(at, clock), sim_.draw_seq()});
     } else {
       lane.clear_prediction(slot, kind);
     }
@@ -1617,15 +1327,14 @@ void VodSimulation::sync_server_timer(ServerId server_id) {
   // Most syncs leave the minimum where it was (an arrival adds a far-off
   // key, a cancelled stream was not the earliest): skip the heap then.
   if (state.timer != kInvalidEventId && next.key == state.timer_key) return;
-  Simulator& psim = predicted_sim(server_id);
   if (!next.live()) {
-    psim.cancel(state.timer);
+    sim_.cancel(state.timer);
     state.timer = kInvalidEventId;
     return;
   }
   state.timer_key = next.key;
-  if (!psim.rekey(state.timer, next.key)) {
-    state.timer = psim.schedule_keyed(
+  if (!sim_.rekey(state.timer, next.key)) {
+    state.timer = sim_.schedule_keyed(
         next.key, [this, server_id](Seconds) { on_server_timer(server_id); });
   }
 }
@@ -1636,7 +1345,7 @@ void VodSimulation::on_server_timer(ServerId server_id) {
   state.timer = kInvalidEventId;  // popped
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   const EarliestPrediction due = server.lane().earliest_prediction();
-  assert(due.live() && due.key.time == predicted_sim(server_id).now());
+  assert(due.live() && due.key.time == sim_.now());
   // Clear before dispatch, as the per-stream handlers did with their own
   // handles, so the handler sees the prediction as consumed.
   server.lane().clear_prediction(due.slot, due.kind);
@@ -1657,77 +1366,16 @@ void VodSimulation::on_server_timer(ServerId server_id) {
   sync_server_timer(server_id);
 }
 
-std::size_t VodSimulation::request_pool(ServerId server) const {
-  if (!sharded_ || server == kNoServer) return 0;
-  return 1 + static_cast<std::size_t>(
-                 shard_of_server_[static_cast<std::size_t>(server)]);
-}
-
-Simulator& VodSimulation::predicted_sim(ServerId server) {
-  if (!sharded_ || server == kNoServer) return sim_;
-  return shards_[static_cast<std::size_t>(
-                     shard_of_server_[static_cast<std::size_t>(server)])]
-      ->sim;
-}
-
-const Simulator& VodSimulation::predicted_sim(ServerId server) const {
-  return const_cast<VodSimulation*>(this)->predicted_sim(server);
-}
-
 bool VodSimulation::predicted_timer_key(ServerId server, EventKey& key) const {
-  return predicted_sim(server).pending_key(
+  return sim_.pending_key(
       recompute_state_[static_cast<std::size_t>(server)].timer, key);
 }
 
 void VodSimulation::note(TraceEventType type, std::uint32_t category,
                          ServerId server, RequestId request, VideoId video,
                          double a, double b) {
-  detail::EngineShard* const shard = t_shard;
-  TraceRecorder* recorder = shard != nullptr ? shard->trace.get() : trace_.get();
-  if (recorder == nullptr || !recorder->wants(category)) return;
-  const Seconds now = shard != nullptr ? shard->sim.now() : sim_.now();
-  recorder->record(now, type, server, request, video, a, b);
-}
-
-std::uint64_t VodSimulation::continuity_violations() const {
-  std::uint64_t total = continuity_violations_;
-  for (const auto& shard : shards_) total += shard->continuity_violations;
-  return total;
-}
-
-int VodSimulation::shard_of_server(ServerId server) const {
-  if (!sharded_ || server == kNoServer) return 0;
-  return shard_of_server_[static_cast<std::size_t>(server)];
-}
-
-std::uint64_t VodSimulation::coordinator_events() const {
-  return sim_.executed_count();
-}
-
-std::uint64_t VodSimulation::shard_events() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->sim.executed_count();
-  return total;
-}
-
-std::vector<TraceEvent> VodSimulation::merged_trace_events() const {
-  std::vector<TraceEvent> out;
-  if (trace_) out = trace_->snapshot();
-  for (const auto& shard : shards_) {
-    if (!shard->trace) continue;
-    const std::vector<TraceEvent> events = shard->trace->snapshot();
-    out.insert(out.end(), events.begin(), events.end());
-  }
-  // (time, shard, seq): coordinator (-1) first within a timestamp, then
-  // shards in index order, each internally in emission order. A total
-  // deterministic order even though per-recorder seqs are independent.
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& x, const TraceEvent& y) {
-              if (x.time != y.time) return x.time < y.time;
-              if (x.shard != y.shard) return x.shard < y.shard;
-              return x.seq < y.seq;
-            });
-  return out;
+  if (trace_ == nullptr || !trace_->wants(category)) return;
+  trace_->record(sim_.now(), type, server, request, video, a, b);
 }
 
 }  // namespace vodsim

@@ -32,7 +32,6 @@
 #include "vodsim/des/simulator.h"
 #include "vodsim/engine/config.h"
 #include "vodsim/engine/metrics.h"
-#include "vodsim/engine/request_arena.h"
 #include "vodsim/fault/retry_queue.h"
 #include "vodsim/fault/transition.h"
 #include "vodsim/obs/probes.h"
@@ -52,14 +51,6 @@ namespace vodsim {
 
 class InvariantAuditor;
 class SweepContext;
-class ThreadPool;
-
-namespace detail {
-/// One shard of the parallel engine: a contiguous server block with its own
-/// event queue, metrics shard, scheduler instance, trace recorder and
-/// scratch arenas. Defined in vod_simulation.cpp (DESIGN.md §12).
-struct EngineShard;
-}  // namespace detail
 
 class VodSimulation {
  public:
@@ -138,47 +129,17 @@ class VodSimulation {
   /// VODSIM_PROBE). Observe-only, like the trace recorder.
   const ProbeSet* probes() const { return probes_.get(); }
 
-  /// Every request ever created (terminal states included), in id order;
-  /// audit surface for tests. Sharded runs store requests in per-shard
-  /// pools (engine/request_arena.h) but iteration order is id order either
-  /// way.
-  const RequestArena& requests() const { return requests_; }
+  /// Every request ever created (terminal states included), in id order
+  /// (a request's id is its index); audit surface for tests.
+  const StableVector<Request>& requests() const { return requests_; }
 
-  /// Resolved engine mode after build_world: fast_math config/env/sharded
-  /// default, minus an exact_math opt-out. Exposed for tests pinning the
-  /// fast-by-default policy.
+  /// Resolved engine mode after build_world: config.fast_math or the
+  /// VODSIM_FAST_MATH override.
   bool fast_math_enabled() const { return fast_math_; }
 
   /// Playback continuity violations observed (should be 0 except under
-  /// failure injection or nonzero switch latency). Sums the per-shard
-  /// counters in sharded mode.
-  std::uint64_t continuity_violations() const;
-
-  // --- sharded engine introspection (DESIGN.md §12) ---------------------
-  /// Configured shard count; 1 = the classic single-queue engine.
-  int shard_count() const { return config_.shards; }
-
-  /// Shard owning \p server (0 when shards == 1). Contiguous blocks:
-  /// consecutive servers share a shard, aligning with the fault
-  /// subsystem's correlated (rack/zone) outage groups.
-  int shard_of_server(ServerId server) const;
-
-  /// Events executed on the coordinator queue (arrivals, admission,
-  /// migration, replication, faults, retries, pause/resume, playback
-  /// end). Valid after run(). In single mode this is every event.
-  std::uint64_t coordinator_events() const;
-
-  /// Events executed across all shard queues (the predicted per-stream
-  /// events: tx-complete, buffer-full, buffer-low). 0 in single mode.
-  /// coordinator_events()/shard_events() is the measured serial/parallel
-  /// work split of a sharded run (the Amdahl numbers in BENCH_pr8.json).
-  std::uint64_t shard_events() const;
-
-  /// All trace events from every recorder (coordinator + shards), merged
-  /// in (time, shard, seq) order — each tagged with its executing domain
-  /// (TraceEvent::shard: -1 = coordinator/single engine). Empty when
-  /// tracing is off.
-  std::vector<TraceEvent> merged_trace_events() const;
+  /// failure injection or nonzero switch latency).
+  std::uint64_t continuity_violations() const { return continuity_violations_; }
 
   /// Time-weighted per-server stream occupancy over the measurement window.
   struct OccupancySummary {
@@ -292,37 +253,12 @@ class VodSimulation {
   /// interleave with other events in seq order.
   void on_server_timer(ServerId server);
 
-  /// The RequestArena pool a request created for \p server lives in:
-  /// pool 0 (coordinator) in single mode or for server-less requests,
-  /// 1 + shard index when sharded — each shard's streams get their own
-  /// StableVector chunks, ending cross-shard false sharing on Request
-  /// cache lines.
-  std::size_t request_pool(ServerId server) const;
-
   /// Trace emission helper. The null check is the entire disabled-tracing
   /// hot path (one load + branch per emission site); the category mask is
-  /// only consulted once a recorder is attached. Resolves the executing
-  /// context (coordinator vs. shard) for both the timestamp and the
-  /// recorder, so shard-drain events land shard-tagged in the shard's own
-  /// ring (defined in vod_simulation.cpp).
+  /// only consulted once a recorder is attached.
   void note(TraceEventType type, std::uint32_t category,
             ServerId server = kNoServer, RequestId request = -1,
             VideoId video = -1, double a = 0.0, double b = 0.0);
-
-  /// The queue a server's predicted-event timer lives in: the owning
-  /// shard's simulator when sharded, the root simulator otherwise.
-  /// Prediction seqs are drawn from this queue too — keys are queue-local,
-  /// and a request's server never changes while its predictions are live
-  /// (every migration/recovery path cancels first).
-  Simulator& predicted_sim(ServerId server);
-  const Simulator& predicted_sim(ServerId server) const;
-
-  /// Builds the shard contexts (shards > 1 only); part of build_world.
-  void build_shards(const TraceConfig& trace_config);
-
-  /// The sharded replacement for run()'s sim_.run_until(duration): the
-  /// conservative-lookahead window loop (DESIGN.md §12).
-  void run_sharded_windows();
 
   /// attach/detach wrappers that keep the occupancy statistics current.
   void attach_to(ServerId server, Request& request);
@@ -372,7 +308,7 @@ class VodSimulation {
   std::vector<Seconds> partition_began_;
   std::vector<TimeWeighted> occupancy_;
 
-  RequestArena requests_;
+  StableVector<Request> requests_;
   RequestId next_request_id_ = 0;
   /// Present only in paranoid mode (config.paranoid or VODSIM_PARANOID).
   std::unique_ptr<InvariantAuditor> auditor_;
@@ -389,25 +325,6 @@ class VodSimulation {
   /// batch metering low so the differential harness's negative test can
   /// prove a seeded batching bug is caught. Never set outside tests.
   bool fast_math_seeded_bug_ = false;
-
-  /// True when config.shards > 1. The single-shard path takes the exact
-  /// code the pre-sharding engine ran — its bit-identity to the hexfloat
-  /// goldens holds by construction, not by tolerance.
-  bool sharded_ = false;
-  /// Test-only backdoor (VODSIM_TEST_SHARD_BUG): biases the shard-metrics
-  /// merge low so the sharded/single differential harness's negative test
-  /// can prove a seeded cross-mode bug is caught. Never set outside tests.
-  bool shard_seeded_bug_ = false;
-  /// Shard contexts, in shard-index order (empty when shards == 1). All
-  /// cross-shard coupling happens through coordinator events; between
-  /// coordinator events each shard's queue drains with no shared mutable
-  /// state (see detail::EngineShard in vod_simulation.cpp).
-  std::vector<std::unique_ptr<detail::EngineShard>> shards_;
-  /// server -> owning shard index (contiguous blocks).
-  std::vector<int> shard_of_server_;
-  /// Workers for the parallel drain windows; created lazily in run() so
-  /// construct-only call sites never spawn threads.
-  std::unique_ptr<ThreadPool> shard_pool_;
 
   /// Scratch buffers for scheduler output and working sets (reused across
   /// events; the steady-state loop performs no per-event heap allocations).

@@ -20,12 +20,6 @@
 /// outages, zone brownouts, rack partitions — FailureConfig::domains) draw
 /// after all three legacy phases, each only when enabled, extending the
 /// same contract.
-///
-/// Sharded engine (DESIGN.md §12): fault transitions shed, migrate, or
-/// re-park streams across arbitrary servers, so every transition executes
-/// on the serial coordinator queue. The schedule being pre-generated means
-/// sharding changes nothing about when faults fire — only which queue runs
-/// the handler.
 
 #include <vector>
 

@@ -142,9 +142,8 @@ std::uint32_t parse_trace_categories(const std::string& spec) {
   return mask;
 }
 
-TraceRecorder::TraceRecorder(const TraceConfig& config, std::int32_t shard)
+TraceRecorder::TraceRecorder(const TraceConfig& config)
     : mask_(config.categories & kTraceAllCategories),
-      shard_(shard),
       capacity_(config.capacity > 0 ? config.capacity : 1) {
   // reserve, not resize: the slab is addressable without touching (and with
   // a default 1M-event ring, zero-filling) 48 MB up front. Slots are
@@ -156,7 +155,7 @@ void TraceRecorder::record(Seconds time, TraceEventType type, ServerId server,
                            RequestId request, VideoId video, double a, double b) {
   if (ring_.size() < capacity_) {
     ring_.push_back(TraceEvent{next_seq_++, time, type, server, request, video,
-                               a, b, shard_});
+                               a, b});
     return;
   }
   TraceEvent& slot = ring_[start_];  // overwrite the oldest
@@ -169,7 +168,6 @@ void TraceRecorder::record(Seconds time, TraceEventType type, ServerId server,
   slot.video = video;
   slot.a = a;
   slot.b = b;
-  slot.shard = shard_;
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {

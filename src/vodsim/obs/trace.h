@@ -115,11 +115,6 @@ struct TraceEvent {
   VideoId video = -1;
   double a = 0.0;
   double b = 0.0;
-  /// Executing domain that emitted the event: -1 = the coordinator (or
-  /// the whole single-queue engine), >= 0 = that shard's drain. Stamped
-  /// by the recorder (each shard owns a tagged recorder); `seq` is
-  /// per-recorder in sharded runs. See VodSimulation::merged_trace_events.
-  std::int32_t shard = -1;
 };
 
 /// Tracing knobs carried by SimulationConfig. The VODSIM_TRACE environment
@@ -135,10 +130,7 @@ struct TraceConfig {
 
 class TraceRecorder {
  public:
-  /// \param shard the domain tag stamped on every recorded event: -1 for
-  /// the coordinator/single-engine recorder, the shard index for a
-  /// shard's own recorder.
-  explicit TraceRecorder(const TraceConfig& config, std::int32_t shard = -1);
+  explicit TraceRecorder(const TraceConfig& config);
 
   /// True when \p category is enabled — emission sites check this before
   /// assembling a payload.
@@ -172,7 +164,6 @@ class TraceRecorder {
 
  private:
   std::uint32_t mask_;
-  std::int32_t shard_;
   std::size_t capacity_;
   std::vector<TraceEvent> ring_;  ///< reserved to capacity_, filled on use
   std::size_t start_ = 0;         ///< index of the oldest retained event

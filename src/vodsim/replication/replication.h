@@ -20,12 +20,6 @@
 ///
 /// The decision logic lives here (pure, unit-testable); the engine owns the
 /// clock and executes the transfers.
-///
-/// Sharded engine (DESIGN.md §12): a replication transfer consumes link
-/// bandwidth on two servers that may live in different shards, so
-/// replication start/complete events execute on the serial coordinator
-/// queue; shards only ever see the resulting bandwidth changes through
-/// their own servers' recompute.
 
 #include <cstdint>
 #include <deque>

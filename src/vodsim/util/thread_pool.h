@@ -36,9 +36,8 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, count) across the pool and blocks until all
   /// complete. Rethrows the first task exception encountered.
   ///
-  /// Safe to call from inside a pool task (e.g. a sweep trial that runs a
-  /// sharded simulation, which fans its shard drains out through a pool):
-  /// a nested call detects that it is executing on a pool worker and runs
+  /// Safe to call from inside a pool task (e.g. a sweep trial that itself
+  /// fans work out through a pool): a nested call detects that it is executing on a pool worker and runs
   /// caller-only — no helper tasks are submitted, the calling strand
   /// drains every index itself. Submitting helpers from a worker can
   /// deadlock a fixed-size pool: when every worker blocks joining helper

@@ -17,13 +17,11 @@ namespace {
 TEST(ScenarioFuzz, CorpusAndRandomBatchPass) {
   int oracle_checked = 0;
   int fast_checked = 0;
-  int shard_checked = 0;
 
   for (const SimulationConfig& config : pathology_corpus()) {
     const FuzzResult result = run_scenario(config);
     if (result.oracle_checked) ++oracle_checked;
     if (result.fast_checked) ++fast_checked;
-    if (result.shard_checked) ++shard_checked;
     ASSERT_TRUE(result.passed)
         << "corpus seed=" << config.seed << ": " << result.failure
         << "\n"
@@ -39,7 +37,6 @@ TEST(ScenarioFuzz, CorpusAndRandomBatchPass) {
     const FuzzResult result = run_scenario(config);
     if (result.oracle_checked) ++oracle_checked;
     if (result.fast_checked) ++fast_checked;
-    if (result.shard_checked) ++shard_checked;
     ASSERT_TRUE(result.passed)
         << "scenario " << i << " seed=" << config.seed << ": " << result.failure
         << "\n"
@@ -50,14 +47,13 @@ TEST(ScenarioFuzz, CorpusAndRandomBatchPass) {
   // repair/brownout fault extensions, and failure-domain topology) must
   // not hollow out the differential side of the batch: a solid plurality
   // of scenarios stays within its scope. (Every scenario still goes
-  // through the fast/exact and sharded/single differentials below.)
+  // through the fast/exact differential below.)
   EXPECT_GE(oracle_checked, 2 * kScenarios / 5);
 
-  // The fast/exact and sharded/single differentials have no exclusions:
-  // every passing scenario must have been re-run in fast_math mode AND on
-  // the sharded engine, and diffed against the single-queue baseline.
+  // The fast/exact differential has no exclusions: every passing scenario
+  // must have been re-run in fast_math mode and diffed against the exact
+  // baseline.
   EXPECT_EQ(fast_checked, corpus_size + kScenarios);
-  EXPECT_EQ(shard_checked, corpus_size + kScenarios);
 }
 
 // Chaos configs (crashes + brownouts + retry + repair + correlated groups)
@@ -74,7 +70,6 @@ TEST(ScenarioFuzz, ChaosBatchPassesBothModes) {
         << "chaos scenario " << i << " seed=" << config.seed << ": "
         << result.failure;
     EXPECT_TRUE(result.fast_checked) << "chaos scenario " << i;
-    EXPECT_TRUE(result.shard_checked) << "chaos scenario " << i;
   }
 }
 
@@ -99,43 +94,8 @@ TEST(ScenarioFuzz, DifferentialCatchesSeededBatchingBug) {
   EXPECT_TRUE(run_scenario(pathology_corpus().front()).passed);
 }
 
-// Negative control for the sharded/single differential: seed a cross-mode
-// aggregation bug (VODSIM_TEST_SHARD_BUG scales the shard-metrics merge by
-// 0.999 — biased low, invisible to the single-mode auditor because it only
-// exists in the sharded leg) and require the shard/single diff to fire.
-// Uses corpus entry 12 (cross-shard migration chains, shards = 4) so the
-// seeded bug lands on a run with real cross-shard traffic.
-TEST(ScenarioFuzz, DifferentialCatchesSeededShardMergeBug) {
-  const std::vector<SimulationConfig> corpus = pathology_corpus();
-  SimulationConfig sharded;
-  bool found = false;
-  for (const SimulationConfig& config : corpus) {
-    if (config.shards > 1) {
-      sharded = config;
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found) << "corpus must seed at least one sharded pathology";
-
-  ASSERT_EQ(setenv("VODSIM_TEST_SHARD_BUG", "1", 1), 0);
-  const FuzzResult result = run_scenario(sharded);
-  ASSERT_EQ(unsetenv("VODSIM_TEST_SHARD_BUG"), 0);
-
-  ASSERT_FALSE(result.passed)
-      << "seeded shard-merge aggregation bug was not detected";
-  EXPECT_NE(result.failure.find("shard/single mismatch"), std::string::npos)
-      << "unexpected failure channel: " << result.failure;
-  EXPECT_NE(result.failure.find("transmitted"), std::string::npos)
-      << "diff should implicate the merged transmission integral: "
-      << result.failure;
-
-  // And the harness recovers: the same scenario passes with the bug unset.
-  EXPECT_TRUE(run_scenario(sharded).passed);
-}
-
 // Regression: the shrinker's num_servers-halving transform used to clamp
-// only the shard count, so a shrunk chaos reproducer could declare a
+// only one server-indexed knob, so a shrunk chaos reproducer could declare a
 // correlated group (or a topology tree) referencing servers beyond its own
 // num_servers — the emitted gtest case then failed validation or, worse,
 // described faults on servers that do not exist. clamp_to_servers is the
@@ -144,7 +104,6 @@ TEST(ScenarioFuzz, DifferentialCatchesSeededShardMergeBug) {
 TEST(ScenarioShrink, HalvingClampsServerIndexedKnobs) {
   SimulationConfig config;
   config.system.num_servers = 8;
-  config.shards = 8;
   config.topology.enabled = true;
   config.topology.racks = 8;
   config.topology.zones = 6;
@@ -158,7 +117,6 @@ TEST(ScenarioShrink, HalvingClampsServerIndexedKnobs) {
   // …must be followed by the clamp, or the knobs dangle past the cluster.
   clamp_to_servers(config);
 
-  EXPECT_LE(config.shards, config.system.num_servers);
   EXPECT_LE(config.failure.correlated.group_size, config.system.num_servers);
   EXPECT_LE(config.topology.racks, config.system.num_servers);
   EXPECT_LE(config.topology.zones, config.topology.racks);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -518,9 +519,12 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   for (Request* request : all) {
     request->begin_streaming(0.0, 0);
     server.attach(*request);
-    request->set_allocation(0.0, 6.0);
+    // Each client at its receive cap or 6 Mb/s, whichever is lower: r2
+    // fills at 2 Mb/s against a 3 Mb/s drain and starves (level 0).
+    request->set_allocation(0.0, std::min(6.0, request->receive_bandwidth()));
     request->advance(10.0);
   }
+  ASSERT_DOUBLE_EQ(r2.buffer_level(), 0.0);
 
   server.detach(r1);  // r3's slots (all ten arrays) swap into slot 0
   const FluidLane& lane = server.lane();
@@ -535,12 +539,15 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   EXPECT_EQ(eligible[0], r3.active_index);
 
   // Write-through after the swap targets the moved slot: pausing r3 must
-  // stop the batched drain of r3's buffer, not r2's.
+  // stop the batched drain of r3's buffer, not r2's. Had the pause landed
+  // on r2's slot, r2 would have banked its whole 2 Mb/s inflow (20 Mb)
+  // instead of starving again.
   r3.pause_viewing(10.0);
   std::vector<Megabits> scratch;
   server.lane().advance_batch(20.0, 0.0, 1e9, scratch);
   EXPECT_DOUBLE_EQ(r3.buffer_level(), 30.0 + 6.0 * 10.0);  // inflow only
-  EXPECT_DOUBLE_EQ(r2.buffer_level(), 30.0 + (6.0 - 3.0) * 10.0);
+  EXPECT_DOUBLE_EQ(r2.buffer_level(), 0.0);
+  EXPECT_DOUBLE_EQ(scratch[r2.active_index], (3.0 - 2.0) * 10.0);  // starved
 }
 
 // Randomized churn against a full scan: sets (with equal-time ties),

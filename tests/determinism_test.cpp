@@ -219,89 +219,6 @@ TEST(GoldenDeterminism, FastMathAgreesWithExactMode) {
   }
 }
 
-// --- sharded determinism contract ----------------------------------------
-// The sharded engine's promise is weaker than bit-identity with the
-// single-queue run (the shard/single differential in check_fuzz_test.cpp
-// pins that agreement, counters exact / fluid within tolerance) but strict
-// on its own terms: for a FIXED shard count, the result is bit-identical at
-// ANY worker thread count, and across repeat runs. Each shard drains its
-// window serially whatever the pool width, the coordinator steps alone, and
-// metrics merge in shard-index order — thread count only changes who runs a
-// drain, never what it computes or the order results are combined.
-
-TEST(GoldenDeterminism, ShardedIsReproducibleAcrossThreadCounts) {
-  for (const PolicySpec& policy :
-       {figure6_policies().front(), figure6_policies()[2],
-        figure6_policies()[3]}) {
-    SimulationConfig config = golden_config(policy, 7);
-    config.shards = 4;
-
-    config.shard_threads = 1;
-    const TrialResult serial = run_once(config);
-    SCOPED_TRACE(policy.label);
-    ASSERT_GT(serial.arrivals, 0u);
-
-    config.shard_threads = 2;
-    expect_bit_identical(serial, run_once(config));
-
-    config.shard_threads = 8;  // more workers than shards: some sit idle
-    expect_bit_identical(serial, run_once(config));
-    expect_bit_identical(serial, run_once(config));  // and repeat-run stable
-  }
-}
-
-TEST(GoldenDeterminism, ShardedRunsDefaultToFastMath) {
-  // PR 9 policy: sharding already opts out of bit-identity with the
-  // single-queue run, so sharded runs take the batched engine unless the
-  // user explicitly opts back out; single-queue runs stay exact unless
-  // fast-math is explicitly requested (the hexfloat goldens depend on it).
-  SimulationConfig config = golden_config(figure6_policies().front(), 7);
-  EXPECT_FALSE(VodSimulation(config).fast_math_enabled());
-
-  config.shards = 4;
-  EXPECT_TRUE(VodSimulation(config).fast_math_enabled());
-
-  config.exact_math = true;
-  EXPECT_FALSE(VodSimulation(config).fast_math_enabled());
-
-  config.exact_math = false;
-  config.shards = 1;
-  config.fast_math = true;
-  EXPECT_TRUE(VodSimulation(config).fast_math_enabled());
-}
-
-TEST(GoldenDeterminism, ShardedArenaMatchesSingleArenaExactly) {
-  // The request arena's pool split is pure storage: with exact_math opting
-  // the sharded run out of the fast-math default, the only remaining
-  // difference from the single-queue run is shard scheduling — so counters
-  // must match exactly and fluid aggregates within merge-order tolerance,
-  // same contract the fuzzer's shard differential enforces.
-  for (const PolicySpec& policy :
-       {figure6_policies().front(), figure6_policies()[3]}) {
-    SCOPED_TRACE(policy.label);
-    SimulationConfig config = golden_config(policy, 17);
-    const TrialResult single = run_once(config);
-    ASSERT_GT(single.arrivals, 0u);
-
-    config.shards = 4;
-    config.shard_threads = 2;
-    config.exact_math = true;
-    const TrialResult sharded = run_once(config);
-
-    EXPECT_EQ(single.arrivals, sharded.arrivals);
-    EXPECT_EQ(single.accepts, sharded.accepts);
-    EXPECT_EQ(single.rejects, sharded.rejects);
-    EXPECT_EQ(single.migration_steps, sharded.migration_steps);
-    EXPECT_EQ(single.drops, sharded.drops);
-    EXPECT_EQ(single.underflow_events, sharded.underflow_events);
-    EXPECT_EQ(single.continuity_violations, sharded.continuity_violations);
-    EXPECT_NEAR(single.utilization, sharded.utilization,
-                1e-9 + 1e-9 * std::abs(single.utilization));
-    EXPECT_NEAR(single.rejection_ratio, sharded.rejection_ratio,
-                1e-9 + 1e-9 * std::abs(single.rejection_ratio));
-  }
-}
-
 TEST(GoldenDeterminism, TracedRunIsBitIdentical) {
   // The trace recorder and probe samplers observe only: they read state on
   // the way past, schedule no simulator events and touch no RNG, so turning
@@ -582,26 +499,6 @@ TEST(GoldenDeterminism, ObserversMatchPinnedGoldensPerScheduler) {
     traced.probe.period = 30.0;
     EXPECT_STREQ(kGoldenMatrix[i].expected,
                  render_result(run_once(traced)).c_str());
-  }
-}
-
-TEST(GoldenDeterminism, ShardsOneMatchesPinnedHexfloatGoldens) {
-  // shards = 1 is not "sharded mode with one shard": it takes the literal
-  // pre-sharding code path (single event queue, root metrics, no shard
-  // structures built), so the full golden matrix must re-render bit-for-bit
-  // with the field set explicitly. Guards against the single-shard path
-  // ever being rerouted through the coordinator/window machinery.
-  const auto matrix = golden_matrix();
-  constexpr std::size_t kPinned =
-      sizeof(kGoldenMatrix) / sizeof(kGoldenMatrix[0]);
-  ASSERT_EQ(matrix.size(), kPinned);
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    SCOPED_TRACE(matrix[i].first);
-    SimulationConfig config = matrix[i].second;
-    config.shards = 1;
-    config.shard_threads = 4;  // must be inert when shards == 1
-    EXPECT_STREQ(kGoldenMatrix[i].expected,
-                 render_result(run_once(config)).c_str());
   }
 }
 

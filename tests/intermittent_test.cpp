@@ -119,16 +119,17 @@ TEST(Intermittent, UrgencyLatchHasHysteresis) {
   EXPECT_TRUE(request.workahead_urgent);
   EXPECT_GE(rates[0], kView);
 
-  // Refill to 15 s of cover (45 Mb): above threshold but below 2x -> the
-  // latch holds.
-  request.set_allocation(set.now, 33.0);  // +30 net over 1 s
+  // Refill to 14 s of cover (42 Mb): above threshold but below 2x -> the
+  // latch holds. 30 Mb/s is the client's receive cap.
+  request.set_allocation(set.now, 30.0);  // +27 net over 1 s
   request.advance(set.now + 1.0);
   request.set_allocation(set.now + 1.0, 0.0);
   scheduler.allocate(set.now + 1.0, 100.0, set.active, rates);
   EXPECT_TRUE(request.workahead_urgent);
 
-  // Refill past 2x threshold (>= 60 Mb): latch releases.
-  request.set_allocation(set.now + 1.0, 33.0);
+  // Refill past 2x threshold (>= 60 Mb) to 23 s of cover (69 Mb): latch
+  // releases.
+  request.set_allocation(set.now + 1.0, 30.0);
   request.advance(set.now + 2.0);
   request.set_allocation(set.now + 2.0, 0.0);
   scheduler.allocate(set.now + 2.0, 100.0, set.active, rates);

@@ -100,14 +100,21 @@ TEST(ThreadPoolErrors, SubmitFutureCarriesTaskException) {
     future.get();
     FAIL() << "future.get() swallowed the exception";
   } catch (const TrialError& error) {
+    // Let the single worker finish its loop iteration first: it drops the
+    // finished task's shared state there, and with it one reference to
+    // this exception. That refcount lives in uninstrumented libstdc++, so
+    // without this round trip ThreadSanitizer cannot see the ordering
+    // between the worker's release and this read and reports a race.
+    pool.submit([] {}).get();
     EXPECT_EQ(error.index, 7u);
   }
 }
 
 TEST(ThreadPoolNesting, NestedParallelForFromWorkerCompletesInline) {
-  // A sharded sweep trial nests pool usage: the sweep's parallel_for runs
-  // trials on workers, and each trial's sharded engine issues its own
-  // parallel_for for shard drains. Before the worker guard this deadlocked
+  // Nested pool usage: an outer parallel_for runs tasks on workers, and
+  // each task issues its own parallel_for on the same pool (a sweep trial
+  // that fans out work of its own would do this). Before the worker guard
+  // this deadlocked
   // whenever every worker blocked joining helper tasks stuck behind the
   // outer tasks themselves. The guard makes nested calls caller-only, so
   // this test both terminates and covers every inner index exactly once.

@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/bench_diff.py and tools/validate_trace.py.
+"""Unit tests for tools/bench_diff.py and tools/validate_trace.py, plus a
+check that the docs cite only benchmark artifacts and experiment sections
+that exist.
 
 Run directly or via ctest (registered as `tools_py`). Stdlib only; the
 tools are exercised as subprocesses, exactly as CI invokes them, so exit
 codes and stderr contracts are part of what is tested.
 """
 
+import glob
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import unittest
 
-TOOLS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "tools")
+REPO_DIR = os.path.normpath(
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+TOOLS_DIR = os.path.join(REPO_DIR, "tools")
 BENCH_DIFF = os.path.join(TOOLS_DIR, "bench_diff.py")
 VALIDATE_TRACE = os.path.join(TOOLS_DIR, "validate_trace.py")
 
@@ -266,6 +271,69 @@ class ValidateTraceTest(unittest.TestCase):
     def test_nothing_to_validate_is_an_error(self):
         result = run_tool(VALIDATE_TRACE)
         self.assertNotEqual(result.returncode, 0)
+
+
+BENCH_REF = re.compile(r"BENCH_[A-Za-z0-9_]+\.json")
+SECTION_REF = re.compile(r"\b[EM][0-9]+\b")
+
+
+def dangling_doc_refs(root):
+    """Returns "file:line: ref" for every BENCH_*.json cited by README.md,
+    DESIGN.md, EXPERIMENTS.md or a src/ file that is absent from bench/, and
+    every E<n>/M<n> section id cited there without an EXPERIMENTS.md
+    heading. CHANGES.md and ROADMAP.md are history and are not scanned."""
+    benches = {os.path.basename(path)
+               for path in glob.glob(os.path.join(root, "bench", "*.json"))}
+    sections = set()
+    with open(os.path.join(root, "EXPERIMENTS.md"), encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("#"):
+                sections.update(SECTION_REF.findall(line))
+    scanned = [os.path.join(root, name)
+               for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    for pattern in ("*.h", "*.cpp"):
+        scanned += glob.glob(os.path.join(root, "src", "**", pattern),
+                             recursive=True)
+    dangling = []
+    for path in sorted(scanned):
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                refs = [ref for ref in BENCH_REF.findall(line)
+                        if ref not in benches]
+                refs += [ref for ref in SECTION_REF.findall(line)
+                         if ref not in sections]
+                dangling += [f"{os.path.relpath(path, root)}:{number}: {ref}"
+                             for ref in refs]
+    return dangling
+
+
+class DocReferenceTest(unittest.TestCase):
+    def test_docs_cite_only_existing_artifacts_and_sections(self):
+        self.assertEqual(dangling_doc_refs(REPO_DIR), [])
+
+    def test_dangling_references_are_reported(self):
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "bench"))
+            os.makedirs(os.path.join(root, "src", "engine"))
+            with open(os.path.join(root, "bench", "BENCH_pr1.json"), "w",
+                      encoding="utf-8") as handle:
+                handle.write("{}")
+            docs = {
+                "EXPERIMENTS.md": "## E1/E2 — figures\n## M1 — micro\n",
+                "README.md": "see EXPERIMENTS.md M4 and BENCH_pr1.json\n",
+                "DESIGN.md": "E2 and M1 exist\n",
+                os.path.join("src", "engine", "x.h"):
+                    "// numbers in BENCH_pr8.json\n",
+                "CHANGES.md": "history may cite BENCH_pr9.json and M7\n",
+            }
+            for name, text in docs.items():
+                with open(os.path.join(root, name), "w",
+                          encoding="utf-8") as handle:
+                    handle.write(text)
+            self.assertEqual(dangling_doc_refs(root),
+                             ["README.md:1: M4",
+                              os.path.join("src", "engine", "x.h") +
+                              ":1: BENCH_pr8.json"])
 
 
 if __name__ == "__main__":

@@ -57,13 +57,11 @@ int main(int argc, char** argv) {
   const long scenarios = cli.get_long("scenarios");
   const bool chaos = cli.get_long("chaos") != 0;
   std::uint64_t oracle_checked = 0;
-  std::uint64_t shard_checked = 0;
 
   const std::vector<SimulationConfig> corpus = pathology_corpus();
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const FuzzResult result = run_scenario(corpus[i]);
     if (result.oracle_checked) ++oracle_checked;
-    if (result.shard_checked) ++shard_checked;
     if (!result.passed) return report_failure(corpus[i], result, "corpus");
   }
   std::printf("corpus: %zu scenarios ok\n", corpus.size());
@@ -74,7 +72,6 @@ int main(int argc, char** argv) {
         chaos ? random_fault_scenario(rng) : random_scenario(rng);
     const FuzzResult result = run_scenario(config);
     if (result.oracle_checked) ++oracle_checked;
-    if (result.shard_checked) ++shard_checked;
     if (!result.passed) {
       return report_failure(config, result, chaos ? "chaos" : "random");
     }
@@ -84,9 +81,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "done: %zu corpus + %ld random scenarios passed, %llu oracle-checked, "
-      "%llu shard-checked\n",
-      corpus.size(), scenarios, static_cast<unsigned long long>(oracle_checked),
-      static_cast<unsigned long long>(shard_checked));
+      "done: %zu corpus + %ld random scenarios passed, %llu oracle-checked\n",
+      corpus.size(), scenarios, static_cast<unsigned long long>(oracle_checked));
   return 0;
 }
