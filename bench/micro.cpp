@@ -412,7 +412,7 @@ BENCHMARK(BM_ZipfSample)->Arg(200)->Arg(2000);
 
 void BM_FluidAdvanceBatch(benchmark::State& state) {
   // The tentpole kernel in isolation: one server's fluid advance across all
-  // active streams. batched=0 is the exact-mode inner loop — one
+  // active streams. batched=0 is the scalar single-stream reference — one
   // Request::advance plus one metering interval per stream, in active
   // order; batched=1 is FluidLane::advance_batch — the same per-slot
   // formulas in one pass over the struct-of-arrays with a single batch
@@ -614,40 +614,6 @@ void BM_EndToEndSmallSystemHour(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndSmallSystemHour)->Unit(benchmark::kMillisecond);
 
-void BM_EndToEndFastMath(benchmark::State& state) {
-  // Whole-engine throughput at 300-stream scale (5 servers x 180 Mb/s at a
-  // 3 Mb/s view rate = 300 concurrent streams at full load), exact
-  // (fast=0) vs fast_math (fast=1). Only SimulationConfig::fast_math
-  // differs; run both args in one binary invocation so the speedup ratio
-  // comes from interleaved measurements on the same machine state.
-  const bool fast = state.range(0) != 0;
-  std::uint64_t events = 0;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    SimulationConfig config;
-    config.system = SystemConfig::small_system();
-    config.system.server_bandwidth = 180.0;
-    config.zipf_theta = 0.271;
-    config.client.staging_fraction = 0.2;
-    config.client.receive_bandwidth = 30.0;
-    config.admission.migration.enabled = true;
-    config.duration = hours(1);
-    config.warmup = 0.0;
-    config.seed = seed++;
-    config.fast_math = fast;
-    VodSimulation simulation(config);
-    simulation.run();
-    events += simulation.simulator().executed_count();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.SetLabel("items = simulator events");
-}
-BENCHMARK(BM_EndToEndFastMath)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"fast"})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_EndToEndObservedHour(benchmark::State& state) {
   // Observability overhead on the whole-engine hot loop. The same run as
   // BM_EndToEndSmallSystemHour with the trace recorder (all categories)
@@ -780,7 +746,6 @@ void BM_TournamentSmall(benchmark::State& state) {
       config.zipf_theta = 0.271;
       config.duration = hours(0.5);
       config.warmup = 0.0;
-      config.fast_math = true;
       configs.push_back(apply_tournament_spec(std::move(config), spec));
     }
     SweepContext context;

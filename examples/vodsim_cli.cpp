@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -21,19 +20,6 @@
 #include "vodsim/obs/exporters.h"
 #include "vodsim/util/cli.h"
 #include "vodsim/util/table.h"
-
-namespace {
-
-/// Mirrors VodSimulation::build_world's engine-mode resolution (flag or
-/// VODSIM_FAST_MATH override) so the banner reports the mode the engine
-/// will actually run, not just the flag value.
-bool resolved_fast_math(const vodsim::SimulationConfig& config) {
-  const char* const value = std::getenv("VODSIM_FAST_MATH");
-  return config.fast_math ||
-         (value != nullptr && std::strtol(value, nullptr, 10) != 0);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace vodsim;
@@ -113,9 +99,6 @@ int main(int argc, char** argv) {
   cli.add_flag("warmup-hours", "5", "discarded warmup");
   cli.add_flag("trials", "1", "independent trials (mean ± 95% CI if > 1)");
   cli.add_flag("seed", "42", "master seed");
-  cli.add_flag("fast-math", "false",
-               "batched SoA fluid advance (reproducible; fluid aggregates "
-               "within 1e-9 of exact mode, counts identical)");
   // Observability (re-runs trial 0 with tracing attached; observe-only, so
   // the traced run is bit-identical to the reported one).
   cli.add_flag("trace-out", "", "write a chrome://tracing JSON trace here");
@@ -255,7 +238,6 @@ int main(int argc, char** argv) {
   config.duration = hours(cli.get_double("hours"));
   config.warmup = hours(cli.get_double("warmup-hours"));
   config.seed = static_cast<std::uint64_t>(cli.get_long("seed"));
-  config.fast_math = cli.get_bool("fast-math");
 
   try {
     config.validate();
@@ -272,8 +254,7 @@ int main(int argc, char** argv) {
             << config.system.num_servers << " servers x "
             << config.system.server_bandwidth << " Mb/s, theta "
             << config.zipf_theta << ", " << trials << " trial(s) x "
-            << cli.get_double("hours") << " h"
-            << (resolved_fast_math(config) ? " [fast-math]" : "") << "\n\n";
+            << cli.get_double("hours") << " h\n\n";
 
   // Analytic achievability envelope (analysis/bounds.h): bounds are computed
   // per trial world (catalog/placement vary with the trial seed), so report

@@ -721,7 +721,6 @@ FuzzResult run_scenario(const SimulationConfig& config) {
   FuzzResult result;
   SimulationConfig audited = config;
   audited.paranoid = true;
-  audited.fast_math = false;
   try {
     const RequestTrace trace = engine_trace(audited);
     VodSimulation engine(audited, trace);
@@ -735,84 +734,12 @@ FuzzResult run_scenario(const SimulationConfig& config) {
         result.failure = "oracle mismatch: " + diff;
       }
     }
-    if (result.passed) {
-      // Dual-exactness enforcement: re-run the identical arrival trace in
-      // fast_math mode (auditor still attached) and diff it against the
-      // exact run. Every scenario goes through this — chaos fault configs
-      // included — so the batched kernel is exercised across the whole
-      // feature cross-product, not just the oracle's supported subset.
-      SimulationConfig fast_config = audited;
-      fast_config.fast_math = true;
-      VodSimulation fast_engine(fast_config, trace);
-      fast_engine.run();
-      result.fast_checked = true;
-      const std::string diff = compare_fast_vs_exact(engine, fast_engine);
-      if (!diff.empty()) {
-        result.passed = false;
-        result.failure = "fast/exact mismatch: " + diff;
-      }
-    }
   } catch (const std::exception& error) {
     result.passed = false;
     result.failure = error.what();
   }
   return result;
 }
-
-std::string compare_fast_vs_exact(const VodSimulation& exact,
-                                  const VodSimulation& fast) {
-  // Same tolerance discipline as compare_against_engine: fast mode regroups
-  // the metering summation, so fluid aggregates may drift at ulp scale but
-  // never past the oracle's relative bound. Discrete counters match exactly.
-  std::ostringstream oss;
-  auto count = [&](const char* name, std::uint64_t a_value,
-                   std::uint64_t b_value) {
-    if (a_value != b_value) {
-      oss << name << ": exact " << a_value << " vs fast " << b_value << "; ";
-    }
-  };
-  auto fluid = [&](const char* name, double a_value, double b_value) {
-    const double tolerance =
-        1e-9 + 1e-9 * std::max(std::abs(a_value), std::abs(b_value));
-    if (std::abs(a_value - b_value) > tolerance) {
-      oss.precision(17);
-      oss << name << ": exact " << a_value << " vs fast " << b_value << "; ";
-    }
-  };
-
-  const Metrics& am = exact.metrics();
-  const Metrics& bm = fast.metrics();
-  count("arrivals", am.arrivals(), bm.arrivals());
-  count("accepts", am.accepts(), bm.accepts());
-  count("accepts_via_migration", am.accepts_via_migration(),
-        bm.accepts_via_migration());
-  count("rejects", am.rejects(), bm.rejects());
-  count("migration_steps", am.migration_steps(), bm.migration_steps());
-  count("completions", am.completions(), bm.completions());
-  count("drops", am.drops(), bm.drops());
-  count("underflow_events", am.underflow_events(), bm.underflow_events());
-  count("replications", am.replications(), bm.replications());
-  count("server_downs", am.server_downs(), bm.server_downs());
-  count("server_recoveries", am.server_recoveries(), bm.server_recoveries());
-  count("sheds", am.sheds(), bm.sheds());
-  count("interruptions", am.interruptions(), bm.interruptions());
-  count("retry_enqueued", am.retry_enqueued(), bm.retry_enqueued());
-  count("readmissions", am.readmissions(), bm.readmissions());
-  count("retry_abandoned", am.retry_abandoned(), bm.retry_abandoned());
-  count("repairs", am.repairs(), bm.repairs());
-  count("continuity_violations", exact.continuity_violations(),
-        fast.continuity_violations());
-  fluid("utilization", am.utilization(), bm.utilization());
-  fluid("rejection_ratio", am.rejection_ratio(), bm.rejection_ratio());
-  fluid("transmitted", am.transmitted(), bm.transmitted());
-  fluid("underflow_megabits", am.underflow_megabits(), bm.underflow_megabits());
-  fluid("replication_megabits", am.replication_megabits(),
-        bm.replication_megabits());
-  fluid("glitch_seconds", am.glitch_seconds(), bm.glitch_seconds());
-  fluid("availability", am.availability(), bm.availability());
-  return oss.str();
-}
-
 
 void clamp_to_servers(SimulationConfig& config) {
   if (config.failure.correlated.group_size > config.system.num_servers) {

@@ -35,12 +35,7 @@ struct FuzzResult {
   /// True when the scenario was also cross-checked against the reference
   /// oracle (i.e. oracle_supports() held), not just audited.
   bool oracle_checked = false;
-  /// True when the scenario was additionally re-run under fast_math and
-  /// differentially compared against the exact engine (every passing
-  /// scenario — both modes carry the auditor).
-  bool fast_checked = false;
-  /// Empty when passed; otherwise the auditor's message, the oracle diff,
-  /// or the fast-vs-exact diff.
+  /// Empty when passed; otherwise the auditor's message or the oracle diff.
   std::string failure;
 };
 
@@ -63,28 +58,14 @@ SimulationConfig random_fault_scenario(Rng& rng);
 /// single-copy catalog, and correlated group failures with repair.
 std::vector<SimulationConfig> pathology_corpus();
 
-/// Runs \p config through the engine with the auditor forced on, and — when
-/// the oracle supports it — diffs the run against the reference oracle.
-/// Every scenario (chaos configs included) is then re-run with
-/// `fast_math = true` on the same arrival trace and diffed against the
-/// exact run via compare_fast_vs_exact — the dual-exactness contract's
-/// enforcement point. Exceptions (AuditFailure included) are captured into
-/// the result, never propagated.
+/// Runs \p config through the engine once, with the auditor forced on,
+/// and — when the oracle supports it — diffs the run against the reference
+/// oracle. The auditor runs on every scenario (chaos configs included), so
+/// its end-of-run meter reconciliation checks the batched fluid kernel's
+/// transmission sum across the whole feature cross-product, not just the
+/// oracle's supported subset. Exceptions (AuditFailure included) are
+/// captured into the result, never propagated.
 FuzzResult run_scenario(const SimulationConfig& config);
-
-class VodSimulation;
-
-/// Diffs a fast-math run against the exact run of the same configuration
-/// and arrival trace, with the reference oracle's tolerance discipline:
-/// discrete counters (arrivals, accepts, rejects, migrations, completions,
-/// drops, underflow events, replications, continuity violations, pauses)
-/// must match exactly — fast mode shares the per-stream formulas, so
-/// trajectories and every discrete decision coincide — while fluid
-/// integrals (transmitted, utilization, rejection ratio, underflow
-/// megabits) may differ within 1e-9 relative (metering summation order).
-/// Returns an empty string on agreement, a diff description otherwise.
-std::string compare_fast_vs_exact(const VodSimulation& exact,
-                                  const VodSimulation& fast);
 
 /// Greedily minimizes a failing \p config: repeatedly applies shrinking
 /// transforms (disable a feature, halve a size, drop a policy back to its

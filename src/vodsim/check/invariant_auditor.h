@@ -53,14 +53,18 @@ class InvariantAuditor {
 
   /// Observes one integrated transmission interval: \p request transmitted
   /// at its current allocation over [t0, t1]. The engine calls this from
-  /// advance_and_account, *before* the fluid state is advanced. Accumulates
-  /// the independently-integrated delivery for finalize()'s reconciliation.
+  /// advance_and_account and batch_advance_server, *before* the fluid state
+  /// is advanced. Accumulates the independently-integrated delivery, in
+  /// full and clipped to the metrics window, for finalize()'s
+  /// reconciliations.
   void on_advance(const Request& request, Seconds t0, Seconds t1);
 
   /// End-of-run reconciliation (engine calls it after the final flush):
   /// the flow integral observed via on_advance must match the sum of
-  /// per-request delivered() bits, metered transmission cannot exceed the
-  /// physical flow, and utilization cannot exceed 1.
+  /// per-request delivered() bits, the metered transmission must match the
+  /// window-clipped flow integral (check_metering — this is what checks the
+  /// batched kernel's per-server metering sum), and utilization cannot
+  /// exceed 1.
   void finalize() const;
 
   std::uint64_t events_audited() const { return events_audited_; }
@@ -100,6 +104,13 @@ class InvariantAuditor {
   static void check_predicted_timer(const Server& server, const EventKey* timer,
                                     Seconds now);
 
+  /// Reconciles the metrics meter with the auditor's own account: the
+  /// \p metered megabits must lie within \p slop of \p windowed_flow, the
+  /// integral of allocation · dt clipped to the metrics window. Two-sided:
+  /// a batch sum that drops or double-counts flow fails either way.
+  static void check_metering(Megabits metered, Megabits windowed_flow,
+                             Megabits slop);
+
   /// Absolute tolerance on bandwidth sums (Mb/s) and buffer levels (Mb):
   /// generous against accumulated float error, far below one stream's rate.
   static constexpr double kTolerance = 1e-6;
@@ -119,6 +130,9 @@ class InvariantAuditor {
   /// Integral of allocation * dt over every advanced interval (megabits) —
   /// the auditor's own account of delivered flow.
   double observed_flow_ = 0.0;
+  /// The same integral clipped to the metrics window — what the meter must
+  /// read.
+  double windowed_flow_ = 0.0;
   std::uint64_t intervals_observed_ = 0;
 };
 

@@ -25,7 +25,7 @@
 /// Storage (PR 9): all arrays live in ONE 64-byte-aligned arena, laid out
 /// hot-to-cold at a shared stride so every array starts on a cache-line
 /// boundary. The batch kernels get aligned, peel-free vector loads; the
-/// exact-mode scalar walk touches a compact block of lines instead of ten
+/// single-stream scalar path touches a compact block of lines instead of ten
 /// scattered heap allocations (the "gather tax" the PR 6 SoA split paid).
 /// The hot block leads with the three kernel-mutated arrays (last-update,
 /// remaining, buffer level), then the six kernel-read parameters; the cold
@@ -41,14 +41,13 @@
 /// rescanned only when the argmin was moved later, cleared or removed and
 /// nothing below the bound replaced it.
 ///
-/// Both engine modes use the lane. Exact mode advances streams one at a
-/// time in active order through `advance_one`, which calls the identical
-/// single-stream formulas as the original Request::advance — so the 29
-/// hexfloat determinism goldens pin the lane plumbing itself. Fast-math
-/// mode calls `advance_batch`, which runs the same per-stream arithmetic
-/// in one vectorizable loop and aggregates the transmission metering into
-/// a per-batch sum (the only numeric divergence between modes: summation
-/// grouping of the metering, at ulp scale).
+/// Every scheduler recompute advances the whole server through
+/// `advance_batch`, which runs the single-stream formulas in one
+/// vectorizable loop and aggregates the transmission metering into a
+/// per-batch sum. Single-stream advances (pause, migration, completion,
+/// the final flush) go through Request::advance → `advance_one`, which
+/// calls the same formulas directly; the batch kernel is bit-identical to
+/// it per stream, so both paths leave identical trajectories.
 
 #include <algorithm>
 #include <cstddef>
@@ -67,8 +66,8 @@ namespace vodsim {
 class Request;
 
 /// Single-stream fluid formulas, defined exactly once. The scalar path
-/// (Request::advance, StagingBuffer::apply) and the exact-mode lane path
-/// call these directly; the fast-math batch kernel (fluid_lane.cpp) is a
+/// (Request::advance, StagingBuffer::apply) and the single-slot lane path
+/// call these directly; the batch kernel (fluid_lane.cpp) is a
 /// branchless re-expression of the same operations, proven bit-identical
 /// per stream (the argument is spelled out at the kernel), so restructuring
 /// storage cannot change a single floating-point result per stream.
@@ -183,8 +182,8 @@ class FluidLane {
   }
   void set_playback_end(std::size_t i, Seconds end) { playback_end_[i] = end; }
 
-  /// Exact-mode advancement of one slot: identical formulas, per-stream
-  /// call order preserved by the caller. Returns playback underflow (Mb).
+  /// Advances one slot (Request::advance's path): the single-stream
+  /// formulas called directly. Returns playback underflow (Mb).
   Megabits advance_one(std::size_t i, Seconds now) {
     return fluid_detail::advance_stream(
         now, last_update_[i], remaining_[i], buffer_level_[i],
@@ -192,7 +191,7 @@ class FluidLane {
         playback_end_[i], view_bandwidth_[i]);
   }
 
-  /// Aggregate outcome of one fast-math batch.
+  /// Aggregate outcome of one batched advance.
   struct BatchResult {
     /// Σ allocation · dt over the batch, clipped per stream to the
     /// metering window — the batch equivalent of one
@@ -202,11 +201,11 @@ class FluidLane {
     bool any_underflow = false;
   };
 
-  /// Fast-math kernel: advances every slot to \p now in one branchless,
+  /// Batch kernel: advances every slot to \p now in one branchless,
   /// vectorizable loop free of per-stream call order. Per-stream state
   /// updates are bit-identical to advance_one (see the kernel for the
-  /// proof sketch), so trajectories — and therefore all discrete outcomes —
-  /// match exact mode; only the metering summation is regrouped.
+  /// proof sketch); only the metering is summed per batch instead of per
+  /// stream.
   /// \p underflow_scratch is resized to size() and receives
   /// each slot's playback underflow (0 for almost every stream — the
   /// engine walks it only when the result says any_underflow).
@@ -220,7 +219,7 @@ class FluidLane {
   // on every recompute; walking the arrays beats chasing Request pointers.
   // Every pass below is an exact replica of the corresponding Request
   // formula on the same authoritative values, so using them changes no
-  // result bit in either engine mode — the determinism goldens pin that.
+  // result bit — the determinism goldens pin that.
 
   /// Fills \p rates with each slot's minimum rate (Request::minimum_rate
   /// semantics: the view bandwidth, or 0 for a paused client with a full

@@ -28,7 +28,7 @@ class Metrics {
   void record_transmission(Seconds t0, Seconds t1, Mbps rate);
 
   /// Adds an already window-clipped megabit sum to the transmission meter.
-  /// Fast-math batch path: the fluid kernel clips each stream's interval
+  /// Batched advance path: the fluid kernel clips each stream's interval
   /// exactly like record_transmission and sums the batch locally, so this
   /// differs from per-stream recording only in summation grouping (ulps).
   void record_transmitted_sum(Megabits megabits) { transmitted_ += megabits; }

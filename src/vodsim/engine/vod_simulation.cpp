@@ -171,16 +171,6 @@ void VodSimulation::build_world() {
   retime_full_.reserve(per_server);
   retime_low_.reserve(per_server);
 
-  // Engine mode (SimulationConfig::fast_math documents the dual-exactness
-  // contract). The env override mirrors VODSIM_PARANOID. Exact is the
-  // default, keeping the 29 goldens binding.
-  fast_math_ = config_.fast_math || env_long("VODSIM_FAST_MATH", 0) != 0;
-  // Test-only: deliberately mis-aggregate the batch metering so the
-  // fast-vs-exact differential harness provably catches a batching bug
-  // (tests/check_test.cpp). Biased low, not high, so the invariant
-  // auditor's flow-conservation check is not the one that trips first.
-  fast_math_seeded_bug_ = env_long("VODSIM_TEST_FAST_MATH_BUG", 0) != 0;
-
   if (!arrivals_) {
     arrivals_ = std::make_unique<RequestGenerator>(
         PoissonProcess(config_.arrival_rate()), *popularity_, seeds.arrival);
@@ -927,13 +917,7 @@ void VodSimulation::recompute_server(ServerId server_id) {
   const std::vector<Request*>& active = server.active_requests();
   note(TraceEventType::kRecompute, kTraceSched, server_id, -1, -1,
        static_cast<double>(active.size()), server.schedulable_bandwidth());
-  if (fast_math_) {
-    batch_advance_server(server);
-  } else {
-    // Exact mode: per-stream advancement in active order. The FP operation
-    // order here is semantics — pinned by the hexfloat determinism goldens.
-    for (Request* request : active) advance_and_account(*request, now);
-  }
+  batch_advance_server(server);
 
   scheduler_->allocate(now, server.schedulable_bandwidth(), active,
                        rates_scratch_, sched_scratch_, &state.sched_cache);
@@ -997,37 +981,40 @@ void VodSimulation::advance_and_account(Request& request, Seconds now) {
   metrics_->record_transmission(interval_start, now, request.allocation());
   if (auditor_) auditor_->on_advance(request, interval_start, now);
   const Megabits underflow = request.advance(now);
-  if (underflow > 0.0) {
-    ++continuity_violations_;
-    metrics_->record_underflow(now, underflow);
-    // Viewer-facing resilience accounting: the megabits short translate to
-    // seconds of starved playback at the view rate. One counted
-    // interruption per stream per dedupe window: a shed-then-readmitted
-    // stream whose retry glitch lands in the same window as its shed
-    // glitch reads as one viewer-visible interruption, not two (the
-    // glitch-seconds still accrue in full).
-    const Seconds dedupe = config_.failure.glitch_dedupe_window;
-    const std::int64_t window_idx =
-        dedupe > 0.0 ? static_cast<std::int64_t>(now / dedupe) : -1;
-    // Attribution uses last_server, not server(): a parked orphan (server()
-    // == kNoServer) still charges its glitch to the domain that lost it.
-    if (dedupe > 0.0 && request.last_glitch_window == window_idx) {
-      metrics_->record_glitch_seconds(now, underflow / request.view_bandwidth(),
+  if (underflow > 0.0) account_underflow(request, underflow, now);
+}
+
+void VodSimulation::account_underflow(Request& request, Megabits underflow,
+                                      Seconds now) {
+  ++continuity_violations_;
+  metrics_->record_underflow(now, underflow);
+  // Viewer-facing resilience accounting: the megabits short translate to
+  // seconds of starved playback at the view rate. One counted interruption
+  // per stream per dedupe window: a shed-then-readmitted stream whose retry
+  // glitch lands in the same window as its shed glitch reads as one
+  // viewer-visible interruption, not two (the glitch-seconds still accrue
+  // in full).
+  const Seconds dedupe = config_.failure.glitch_dedupe_window;
+  const std::int64_t window_idx =
+      dedupe > 0.0 ? static_cast<std::int64_t>(now / dedupe) : -1;
+  // Attribution uses last_server, not server(): a parked orphan (server()
+  // == kNoServer) still charges its glitch to the domain that lost it.
+  if (dedupe > 0.0 && request.last_glitch_window == window_idx) {
+    metrics_->record_glitch_seconds(now, underflow / request.view_bandwidth(),
                                     request.last_server);
-    } else {
-      metrics_->record_glitch(now, underflow / request.view_bandwidth(),
+  } else {
+    metrics_->record_glitch(now, underflow / request.view_bandwidth(),
                             request.last_server);
-      request.last_glitch_window = window_idx;
-    }
-    note(TraceEventType::kUnderflow, kTraceBuffer, request.server(),
-         request.id(), request.video_id(), underflow);
-    VODSIM_DEBUG << "continuity violation: request " << request.id() << " short "
-                 << underflow << " Mb over [" << interval_start << ", " << now
-                 << "] at rate " << request.allocation() << " (state "
-                 << static_cast<int>(request.state()) << ", server "
-                 << request.server() << ", urgent "
-                 << request.workahead_urgent << ")";
+    request.last_glitch_window = window_idx;
   }
+  note(TraceEventType::kUnderflow, kTraceBuffer, request.server(),
+       request.id(), request.video_id(), underflow);
+  VODSIM_DEBUG << "continuity violation: request " << request.id() << " short "
+               << underflow << " Mb at " << now << " (rate "
+               << request.allocation() << ", state "
+               << static_cast<int>(request.state()) << ", server "
+               << request.server() << ", urgent " << request.workahead_urgent
+               << ")";
 }
 
 void VodSimulation::batch_advance_server(Server& server) {
@@ -1036,9 +1023,8 @@ void VodSimulation::batch_advance_server(Server& server) {
   const std::vector<Request*>& active = server.active_requests();
 
   if (auditor_) {
-    // The auditor observes per-stream intervals (its flow integral sums in
-    // active order, matching exact mode); read the start times before the
-    // kernel overwrites them. Gating matches advance_and_account's
+    // The auditor observes per-stream intervals; read the start times before
+    // the kernel overwrites them. Gating matches advance_and_account's
     // now <= last_update early-return.
     for (Request* request : active) {
       const Seconds start = request->last_update();
@@ -1049,37 +1035,13 @@ void VodSimulation::batch_advance_server(Server& server) {
   const FluidLane::BatchResult batch =
       lane.advance_batch(now, config_.warmup, config_.duration, underflow_scratch_);
   if (batch.advanced > 0) mark_server_dirty(server.id());
-
-  Megabits metered = batch.transmitted_in_window;
-  if (fast_math_seeded_bug_) metered *= 0.999;  // test-only, see build_world
-  metrics_->record_transmitted_sum(metered);
+  metrics_->record_transmitted_sum(batch.transmitted_in_window);
 
   if (batch.any_underflow) {
-    // Rare path: per-stream accounting identical to advance_and_account's.
+    // Rare path: per-stream accounting in active order.
     for (Request* request : active) {
       const Megabits underflow = underflow_scratch_[request->active_index];
-      if (underflow <= 0.0) continue;
-      ++continuity_violations_;
-      metrics_->record_underflow(now, underflow);
-      // Same per-stream interruption dedupe as advance_and_account: the
-      // window key lives on the Request, so both engine modes count
-      // identically.
-      const Seconds dedupe = config_.failure.glitch_dedupe_window;
-      const std::int64_t window_idx =
-          dedupe > 0.0 ? static_cast<std::int64_t>(now / dedupe) : -1;
-      if (dedupe > 0.0 && request->last_glitch_window == window_idx) {
-        metrics_->record_glitch_seconds(
-            now, underflow / request->view_bandwidth(), request->last_server);
-      } else {
-        metrics_->record_glitch(now, underflow / request->view_bandwidth(),
-                              request->last_server);
-        request->last_glitch_window = window_idx;
-      }
-      note(TraceEventType::kUnderflow, kTraceBuffer, request->server(),
-           request->id(), request->video_id(), underflow);
-      VODSIM_DEBUG << "continuity violation: request " << request->id()
-                   << " short " << underflow << " Mb at " << now
-                   << " (fast-math batch, server " << server.id() << ")";
+      if (underflow > 0.0) account_underflow(*request, underflow, now);
     }
   }
 }

@@ -133,10 +133,6 @@ class VodSimulation {
   /// (a request's id is its index); audit surface for tests.
   const StableVector<Request>& requests() const { return requests_; }
 
-  /// Resolved engine mode after build_world: config.fast_math or the
-  /// VODSIM_FAST_MATH override.
-  bool fast_math_enabled() const { return fast_math_; }
-
   /// Playback continuity violations observed (should be 0 except under
   /// failure injection or nonzero switch latency).
   std::uint64_t continuity_violations() const { return continuity_violations_; }
@@ -217,14 +213,20 @@ class VodSimulation {
   void mark_server_dirty(ServerId server);
 
   /// Accounts the transmission interval [request.last_update(), now] to the
-  /// metrics and integrates the request's fluid state.
+  /// metrics and integrates one request's fluid state. Every advance outside
+  /// recompute_server (pause, migration, completion, faults, the final
+  /// flush) goes through here.
   void advance_and_account(Request& request, Seconds now);
 
-  /// Fast-math replacement for recompute_server's per-stream advance loop:
-  /// one batched kernel over the server's FluidLane, metering aggregated
-  /// per batch. Per-stream trajectories are identical to the exact loop
-  /// (shared single-stream formulas); see SimulationConfig::fast_math for
-  /// the contract.
+  /// Counts one stream's playback underflow of `underflow` megabits at
+  /// `now`: continuity violation, underflow metric, deduped glitch and the
+  /// trace note. Shared by the single-stream and the batched advance.
+  void account_underflow(Request& request, Megabits underflow, Seconds now);
+
+  /// recompute_server's advance: one batched kernel over the server's
+  /// FluidLane, metering aggregated per batch. Per-stream trajectories run
+  /// the same single-stream formulas as advance_and_account
+  /// (cluster/fluid_lane.h).
   void batch_advance_server(Server& server);
 
   /// Clears an attached request's predictions and re-arms its server's
@@ -319,18 +321,12 @@ class VodSimulation {
   std::uint64_t continuity_violations_ = 0;
   std::uint64_t pauses_started_ = 0;
   bool ran_ = false;
-  /// Resolved engine mode: config.fast_math or VODSIM_FAST_MATH override.
-  bool fast_math_ = false;
-  /// Test-only backdoor (VODSIM_TEST_FAST_MATH_BUG): biases the fast-math
-  /// batch metering low so the differential harness's negative test can
-  /// prove a seeded batching bug is caught. Never set outside tests.
-  bool fast_math_seeded_bug_ = false;
 
   /// Scratch buffers for scheduler output and working sets (reused across
   /// events; the steady-state loop performs no per-event heap allocations).
   std::vector<Mbps> rates_scratch_;
   AllocationScratch sched_scratch_;
-  /// Per-slot playback underflow from the last fast-math batch (reused;
+  /// Per-slot playback underflow from the last batched advance (reused;
   /// written wholesale by FluidLane::advance_batch).
   std::vector<Megabits> underflow_scratch_;
   /// Slots whose allocation changed in the current recompute pass; decides

@@ -122,7 +122,9 @@ TEST(BoundsKnapsack, DominatesEveryIntegralSelection) {
         work += rate * items[i].first * items[i].second;
       }
     }
-    if (work <= capacity) EXPECT_GE(fractional + 1e-12, mass);
+    if (work <= capacity) {
+      EXPECT_GE(fractional + 1e-12, mass);
+    }
   }
 }
 
@@ -232,7 +234,6 @@ double enumerate_optimal_rejection(const TinyInstance& tiny) {
 // popularity masses; lambda is scaled so offered work matches the snapshot.
 BoundsReport tiny_bounds(const TinyInstance& tiny) {
   const double view_bw = 3.0;
-  const double size = 600.0 * view_bw;  // 10-minute titles
   const std::size_t num_titles = tiny.holders.size();
   const std::size_t streams = tiny.stream_titles.size();
 

@@ -154,6 +154,20 @@ TEST(InvariantAuditorChecks, DetectsServerTimerOffTheLaneMinimum) {
                AuditFailure);
 }
 
+TEST(InvariantAuditorChecks, DetectsMeterOffTheWindowedFlow) {
+  // A batched metering sum that is 0.1% off the auditor's windowed flow
+  // integral fails in either direction; finalize() sizes the slop the same
+  // way (per-request tolerance plus 1e-9 relative).
+  const Megabits flow = 22707.5;
+  const Megabits slop =
+      InvariantAuditor::kTolerance * (1.0 + 100.0) + 1e-9 * flow;
+  EXPECT_NO_THROW(InvariantAuditor::check_metering(flow, flow, slop));
+  EXPECT_THROW(InvariantAuditor::check_metering(flow * 0.999, flow, slop),
+               AuditFailure);
+  EXPECT_THROW(InvariantAuditor::check_metering(flow * 1.001, flow, slop),
+               AuditFailure);
+}
+
 TEST(InvariantAuditorChecks, DetectsActiveIndexMismatch) {
   Server server(0, 10.0, 1000.0);
   Request request(0, test_video(), 0.0, test_client());

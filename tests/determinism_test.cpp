@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -167,58 +166,6 @@ TEST(GoldenDeterminism, ParanoidRunIsBitIdentical) {
   expect_bit_identical(run_once(plain), run_once(paranoid));
 }
 
-// --- fast-math dual-exactness contract -----------------------------------
-// Exact mode is pinned bit-for-bit by the hexfloat goldens below; fast mode
-// promises (a) reproducibility — same config + build => same bits — and
-// (b) agreement with exact mode: identical discrete counters, fluid
-// aggregates within the reference-oracle tolerance. These two tests pin the
-// contract per mode; check_fuzz_test.cpp enforces (b) across the whole
-// randomized feature cross-product.
-
-TEST(GoldenDeterminism, FastMathIsReproducible) {
-  for (const PolicySpec& policy : figure6_policies()) {
-    SimulationConfig config = golden_config(policy, 7);
-    config.fast_math = true;
-    const TrialResult first = run_once(config);
-    const TrialResult second = run_once(config);
-    SCOPED_TRACE(policy.label);
-    ASSERT_GT(first.arrivals, 0u);
-    expect_bit_identical(first, second);
-  }
-}
-
-TEST(GoldenDeterminism, FastMathAgreesWithExactMode) {
-  for (const PolicySpec& policy : figure6_policies()) {
-    const SimulationConfig exact_config = golden_config(policy, 7);
-    SimulationConfig fast_config = exact_config;
-    fast_config.fast_math = true;
-
-    const TrialResult exact = run_once(exact_config);
-    const TrialResult fast = run_once(fast_config);
-    SCOPED_TRACE(policy.label);
-
-    // Per-stream trajectories run the identical formulas, so every discrete
-    // decision coincides exactly.
-    EXPECT_EQ(exact.arrivals, fast.arrivals);
-    EXPECT_EQ(exact.accepts, fast.accepts);
-    EXPECT_EQ(exact.rejects, fast.rejects);
-    EXPECT_EQ(exact.migration_steps, fast.migration_steps);
-    EXPECT_EQ(exact.drops, fast.drops);
-    EXPECT_EQ(exact.underflow_events, fast.underflow_events);
-    EXPECT_EQ(exact.continuity_violations, fast.continuity_violations);
-
-    // The metering summation is regrouped (one per-batch sum instead of one
-    // call per stream), so fluid aggregates may drift at ulp scale — bounded
-    // by the oracle's relative tolerance, never more.
-    EXPECT_NEAR(exact.utilization, fast.utilization,
-                1e-9 + 1e-9 * std::abs(exact.utilization));
-    EXPECT_NEAR(exact.rejection_ratio, fast.rejection_ratio,
-                1e-9 + 1e-9 * std::abs(exact.rejection_ratio));
-    EXPECT_NEAR(exact.migrations_per_arrival, fast.migrations_per_arrival,
-                1e-9 + 1e-9 * std::abs(exact.migrations_per_arrival));
-  }
-}
-
 TEST(GoldenDeterminism, TracedRunIsBitIdentical) {
   // The trace recorder and probe samplers observe only: they read state on
   // the way past, schedule no simulator events and touch no RNG, so turning
@@ -330,6 +277,10 @@ TEST(GoldenDeterminism, DistinctSeedsDiverge) {
 // schedulers, and the feature subsystems (failure, replication,
 // interactivity, drift, partial placement, heterogeneity) — as exact
 // hexfloat renderings captured before the incremental-recompute work landed.
+// The utilization column alone was re-pinned when the batched fluid advance
+// became the only recompute path: it meters one sum per server batch
+// instead of one per stream, which moves utilization at ulp scale (max
+// relative change 2.4e-14) and leaves every other field bit-identical.
 // Any bit of drift in any config fails the diff.
 //
 // To regenerate after an *intentional* output change, run this binary with

@@ -393,8 +393,10 @@ TEST(JsonlExport, SchemaAndMonotoneTimestamps) {
   while (std::getline(in, line)) {
     ++events;
     for (const char* key : {"seq", "t", "server", "request", "video", "a", "b"}) {
-      EXPECT_NE(line.find("\"" + std::string(key) + "\":"), std::string::npos)
-          << "missing key " << key;
+      std::string quoted = "\"";
+      quoted += key;
+      quoted += "\":";
+      EXPECT_NE(line.find(quoted), std::string::npos) << "missing key " << key;
     }
     EXPECT_NE(line.find("\"type\":\""), std::string::npos);
     EXPECT_NE(line.find("\"cat\":\""), std::string::npos);
