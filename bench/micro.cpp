@@ -15,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <numeric>
 
 #include "vodsim/des/event_queue.h"
 #include "vodsim/des/simulator.h"
@@ -188,25 +189,25 @@ void BM_EftfAllocate(benchmark::State& state) {
   video.duration = 3600.0;
   video.view_bandwidth = 3.0;
   ClientProfile client{1000.0, 30.0};
+  const Mbps capacity = 3.0 * static_cast<double>(n) + 60.0;
+  Server server(0, capacity, 1e12);
   std::vector<std::unique_ptr<Request>> owner;
-  std::vector<Request*> active;
   for (std::size_t i = 0; i < n; ++i) {
     owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
                                               0.0, client));
     owner.back()->begin_streaming(0.0, 0);
     owner.back()->set_allocation(0.0, 3.0);
     owner.back()->advance(rng.uniform(1.0, 600.0));  // spread remaining data
-    active.push_back(owner.back().get());
+    server.attach(*owner.back());
   }
+  const std::vector<Request*>& active = server.active_requests();
   EftfScheduler scheduler;
   std::vector<Mbps> rates;
   AllocationScratch scratch;
-  scheduler.allocate(600.0, 3.0 * static_cast<double>(n) + 60.0, active, rates,
-                     scratch);
+  scheduler.allocate(600.0, capacity, active, rates, scratch);
   const std::uint64_t allocs_before = heap_allocs();
   for (auto _ : state) {
-    scheduler.allocate(600.0, 3.0 * static_cast<double>(n) + 60.0, active, rates,
-                       scratch);
+    scheduler.allocate(600.0, capacity, active, rates, scratch);
     benchmark::DoNotOptimize(rates.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -249,6 +250,8 @@ void BM_RecomputeServer(benchmark::State& state) {
   }
   const std::vector<Request*>& active = server.active_requests();
   FluidLane& lane = server.lane();
+  constexpr double kSafetyCover = 4.0;
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   EftfScheduler scheduler;
   EventQueue queue;
   EventId timer = kInvalidEventId;
@@ -264,23 +267,21 @@ void BM_RecomputeServer(benchmark::State& state) {
       Request& request = *active[i];
       if (rates[i] == request.allocation()) continue;
       request.set_allocation(t, rates[i]);
-      // Engine pattern (apply_predicted_times): one seq per kept
-      // prediction, stored in the stream's lane slot.
-      if (rates[i] > 0.0) {
-        lane.set_prediction(
-            i, Prediction::kTxComplete,
-            EventKey{t + request.remaining() / rates[i], queue.draw_seq()});
-      } else {
-        lane.clear_prediction(i, Prediction::kTxComplete);
-      }
-      const Mbps surplus = rates[i] - request.drain_rate(t);
-      if (surplus > 1e-12 && !request.buffer_full()) {
-        lane.set_prediction(
-            i, Prediction::kBufferFull,
-            EventKey{t + request.buffer_headroom() / surplus, queue.draw_seq()});
-      } else {
-        lane.clear_prediction(i, Prediction::kBufferFull);
-      }
+      // Engine pattern (reschedule_predicted_events, apply_predicted_times):
+      // the slot's predicted times, one seq per kept prediction, stored in
+      // the stream's lane slot.
+      const fluid_detail::PredictedTimes times =
+          lane.predicted_times(i, t, kSafetyCover);
+      const auto keep = [&](Prediction kind, bool live, Seconds at) {
+        if (live) {
+          lane.set_prediction(i, kind, EventKey{at, queue.draw_seq()});
+        } else {
+          lane.clear_prediction(i, kind);
+        }
+      };
+      keep(Prediction::kTxComplete, rates[i] > 0.0, times.tx);
+      keep(Prediction::kBufferFull, times.full != kNever, times.full);
+      keep(Prediction::kBufferLow, times.low != kNever, times.low);
     }
     // Engine pattern (sync_server_timer): the server's one queue entry
     // follows the lane minimum.
@@ -326,8 +327,8 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
   video.duration = 2.0 * 3600.0;
   video.view_bandwidth = 3.0;
   ClientProfile client{0.2 * video.size(), 30.0};
+  Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   std::vector<std::unique_ptr<Request>> owner;
-  std::vector<Request*> active;
   for (std::size_t i = 0; i < n; ++i) {
     owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
                                               0.0, client));
@@ -335,9 +336,10 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
     request.begin_streaming(0.0, 0);
     request.set_allocation(0.0, 3.0);
     request.advance(rng.uniform(1.0, 600.0));
-    request.active_index = i;
-    active.push_back(&request);
+    server.attach(request);
   }
+  const std::vector<Request*>& active = server.active_requests();
+  const FluidLane& lane = server.lane();
   AllocationScratch scratch;
   SchedCache cache;
   Seconds now = 600.0;
@@ -361,8 +363,8 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
     } else {
       std::sort(scratch.order.begin(), scratch.order.end(),
                 [&](std::size_t a, std::size_t b) {
-                  const Seconds fa = active[a]->projected_finish(now);
-                  const Seconds fb = active[b]->projected_finish(now);
+                  const Seconds fa = lane.projected_finish(a, now);
+                  const Seconds fb = lane.projected_finish(b, now);
                   if (fa != fb) return fa < fb;
                   return active[a]->id() < active[b]->id();
                 });
@@ -500,26 +502,29 @@ void populate_server(Server& server, std::size_t n,
 }  // namespace
 
 void BM_FluidKeyBatch(benchmark::State& state) {
-  // The EFTF/LFTF sort-key pass (PR 9): batched=0 is the scalar
-  // per-candidate projected_finish loop sort_by_projected_finish runs when
-  // the batch threshold is not met; batched=1 is
+  // The EFTF/LFTF sort-key pass: batched=0 is the per-candidate
+  // FluidLane::projected_finish loop over a candidate index list that
+  // sort_by_projected_finish runs when the batch threshold is not met (here
+  // every slot is a candidate); batched=1 is
   // FluidLane::fill_projected_finish — one division-heavy vector pass over
-  // the lane. Same doubles out either way (pinned by
+  // the lane. Same formula, same doubles out either way (pinned by
   // FluidLane.FillProjectedFinishMatchesScalar).
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
   std::vector<std::unique_ptr<Request>> owner;
   Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   populate_server(server, n, owner);
+  const FluidLane& lane = server.lane();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
   std::vector<Seconds> keys(n);
   const Seconds now = 600.0;
   for (auto _ : state) {
     if (batched) {
-      server.lane().fill_projected_finish(now, keys);
+      lane.fill_projected_finish(now, keys);
     } else {
-      const auto& active = server.active_requests();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        keys[i] = active[i]->projected_finish(now);
+      for (const std::size_t index : order) {
+        keys[index] = lane.projected_finish(index, now);
       }
     }
     benchmark::DoNotOptimize(keys.data());
@@ -535,45 +540,31 @@ BENCHMARK(BM_FluidKeyBatch)
     ->ArgNames({"streams", "batched"});
 
 void BM_FluidRetimeBatch(benchmark::State& state) {
-  // The predicted-event retiming arithmetic (PR 9): batched=1 is
+  // The predicted-event retiming arithmetic: batched=1 is
   // FluidLane::fill_predicted_times — all three event times for every slot
-  // in one pass; batched=0 replays the scalar per-stream arithmetic of
-  // reschedule_predicted_events (three divisions and the gates, per
-  // request). Neither side schedules events; this isolates the arithmetic
-  // the batched recompute_server amortizes.
+  // in one pass; batched=0 calls FluidLane::predicted_times per slot, as
+  // reschedule_predicted_events does for a sparse change (three divisions
+  // and the gates, per stream). Neither side schedules events; this
+  // isolates the arithmetic the batched recompute_server amortizes.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
-  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   std::vector<std::unique_ptr<Request>> owner;
   Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   populate_server(server, n, owner);
+  const FluidLane& lane = server.lane();
   std::vector<Seconds> tx(n), full(n), low(n);
   const Seconds now = 600.0;
   const double safety_cover = 4.0;
   for (auto _ : state) {
     if (batched) {
-      server.lane().fill_predicted_times(now, safety_cover, tx, full, low);
+      lane.fill_predicted_times(now, safety_cover, tx, full, low);
     } else {
-      const auto& active = server.active_requests();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        const Request& request = *active[i];
-        const Mbps rate = request.allocation();
-        tx[i] = rate > 0.0 ? now + request.remaining() / rate : kNever;
-        const Mbps surplus = rate - request.drain_rate(now);
-        full[i] = kNever;
-        low[i] = kNever;
-        if (surplus > 1e-12 && !request.buffer_full()) {
-          const Seconds at = now + request.buffer_headroom() / surplus;
-          if (at < tx[i]) full[i] = at;
-        } else if (surplus < -1e-12) {
-          const Megabits threshold = safety_cover * request.view_bandwidth();
-          if (request.buffer_level() >
-              threshold + StagingBuffer::kLevelTolerance) {
-            const Seconds at =
-                now + (request.buffer_level() - threshold) / (0.0 - surplus);
-            if (at < tx[i]) low[i] = at;
-          }
-        }
+      for (std::size_t i = 0; i < lane.size(); ++i) {
+        const fluid_detail::PredictedTimes times =
+            lane.predicted_times(i, now, safety_cover);
+        tx[i] = times.tx;
+        full[i] = times.full;
+        low[i] = times.low;
       }
     }
     benchmark::DoNotOptimize(tx.data());

@@ -11,9 +11,11 @@
 ///   vodsim_cli --system small --buffer-aware true --scheduler intermittent
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "vodsim/engine/experiment.h"
 #include "vodsim/engine/vod_simulation.h"
@@ -133,16 +135,30 @@ int main(int argc, char** argv) {
   config.client.receive_bandwidth =
       receive > 0.0 ? receive : std::numeric_limits<double>::infinity();
 
-  config.placement.kind = placement_kind_from_string(cli.get_string("placement"));
-  config.admission.assignment =
-      assignment_kind_from_string(cli.get_string("assignment"));
-  config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
+  // An unknown enum or trace-category name is a configuration error,
+  // reported like a validate() failure.
+  const auto reject = [](const std::exception& error) {
+    std::cerr << "invalid configuration: " << error.what() << "\n";
+    return 2;
+  };
+  std::uint32_t trace_categories = 0;
+  try {
+    config.placement.kind =
+        placement_kind_from_string(cli.get_string("placement"));
+    config.admission.assignment =
+        assignment_kind_from_string(cli.get_string("assignment"));
+    config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
+    config.admission.migration.victim =
+        victim_strategy_from_string(cli.get_string("victim"));
+    trace_categories =
+        parse_trace_categories(cli.get_string("trace-categories"));
+  } catch (const std::invalid_argument& error) {
+    return reject(error);
+  }
   config.admission.migration.enabled = cli.get_bool("migration");
   config.admission.migration.max_chain_length = static_cast<int>(cli.get_long("chain"));
   config.admission.migration.max_hops_per_request =
       static_cast<int>(cli.get_long("hops"));
-  config.admission.migration.victim =
-      victim_strategy_from_string(cli.get_string("victim"));
   config.admission.migration.switch_latency = cli.get_double("switch-latency");
   config.admission.buffer_aware = cli.get_bool("buffer-aware");
 
@@ -242,8 +258,7 @@ int main(int argc, char** argv) {
   try {
     config.validate();
   } catch (const std::exception& error) {
-    std::cerr << "invalid configuration: " << error.what() << "\n";
-    return 2;
+    return reject(error);
   }
 
   const int trials = static_cast<int>(cli.get_long("trials"));
@@ -393,8 +408,7 @@ int main(int argc, char** argv) {
     SimulationConfig traced = config;
     traced.seed = ExperimentRunner::derive_seed(config.seed, 0);
     traced.trace.enabled = !trace_out.empty() || !trace_jsonl.empty();
-    traced.trace.categories =
-        parse_trace_categories(cli.get_string("trace-categories"));
+    traced.trace.categories = trace_categories;
     traced.probe.enabled = !probe_out.empty();
     traced.probe.period = cli.get_double("probe-period");
 

@@ -27,9 +27,10 @@ struct ClientProfile {
   Mbps receive_bandwidth = std::numeric_limits<double>::infinity();
 };
 
-/// Fluid staging-buffer state: level rises at (inflow - drain) while
-/// playback is active. Separated from Request so the fill/drain arithmetic
-/// is unit-testable in isolation.
+/// Staging-buffer storage of a request while it is detached from any
+/// server (attached requests keep the level in the server's FluidLane).
+/// The fill/drain, full, headroom and cover formulas are in fluid_detail
+/// (cluster/fluid_lane.h); this class only holds the numbers.
 class StagingBuffer {
  public:
   StagingBuffer() = default;
@@ -38,33 +39,10 @@ class StagingBuffer {
   Megabits capacity() const { return capacity_; }
   Megabits level() const { return level_; }
 
-  /// True when no further workahead fits (within fluid-model tolerance).
-  bool full() const { return level_ >= capacity_ - kLevelTolerance; }
-
-  /// Megabits of additional workahead the buffer can hold.
-  Megabits headroom() const { return capacity_ > level_ ? capacity_ - level_ : 0.0; }
-
-  /// Applies \p inflow megabits received and \p outflow megabits consumed
-  /// by playback over an interval. Returns the number of megabits by which
-  /// the level would have gone negative (playback continuity violation;
-  /// 0 in normal minimum-flow operation). The level is clamped to
-  /// [0, capacity]; overshoot beyond capacity (possible only through
-  /// floating-point slop, since buffer-full events stop workahead) is
-  /// clamped silently within tolerance. Delegates to the shared
-  /// single-stream kernel (cluster/fluid_lane.h), so the scalar and SoA
-  /// paths run the same arithmetic.
-  Megabits apply(Megabits inflow, Megabits outflow);
-
-  /// Overwrites the level directly: lane synchronization (a request
-  /// detaching from a server copies its SoA slot back here) and the shared
-  /// kernel's scalar path. \p level must already be clamped to
-  /// [0, capacity] — this is a plain store, not an apply().
-  void set_level(Megabits level) {
-    level_ = level;
-  }
-
-  /// Seconds of playback the current level covers at \p view_bandwidth.
-  Seconds playback_cover(Mbps view_bandwidth) const;
+  /// Overwrites the level: a request detaching from a server copies its
+  /// lane slot back here, and a detached advance stores its result.
+  /// \p level must already be clamped to [0, capacity].
+  void set_level(Megabits level) { level_ = level; }
 
   /// Fluid-model tolerance on buffer levels (megabits); about 1e-6 s of a
   /// 3 Mb/s stream.

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <limits>
 
 #include "vodsim/cluster/request.h"
 
@@ -55,9 +54,9 @@ inline const double* assume_lane_aligned(const double* p) {
   return static_cast<const double*>(__builtin_assume_aligned(p, 64));
 }
 
-/// The vectorized heart of FluidLane::advance_batch: per-stream state
-/// updates only, no reductions (see the caller for why the metering sum is
-/// a separate pass). underflow_out is the engine's std::vector scratch and
+/// The vectorized heart of FluidLane::advance_batch: advance_stream per
+/// slot, no reductions (see the caller for why the metering sum is a
+/// separate pass). underflow_out is the engine's std::vector scratch and
 /// carries no alignment guarantee.
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) void advance_states(
@@ -77,30 +76,14 @@ __attribute__((noinline)) void advance_states(
   playback_end = assume_lane_aligned(playback_end);
   playing = assume_lane_aligned(playing);
   for (std::size_t i = 0; i < n; ++i) {
-    const Seconds start = last_update[i];
-    const Seconds dt = now - start;
-
-    const Megabits inflow = allocation[i] * std::max(0.0, dt);
-    remaining[i] = std::max(0.0, remaining[i] - inflow);
-
-    const Seconds play_span =
-        std::min(now, playback_end[i]) - std::max(start, arrival[i]);
-    const Megabits outflow =
-        view_bandwidth[i] * std::max(0.0, play_span) * playing[i];
-
-    const Megabits level = buffer_level[i] + (inflow - outflow);
-    const Megabits raw_underflow = std::max(0.0, 0.0 - level);
-    buffer_level[i] = std::min(std::max(level, 0.0), buffer_capacity[i]);
-    underflow_out[i] =
-        raw_underflow > StagingBuffer::kLevelTolerance ? raw_underflow : 0.0;
-
-    last_update[i] = now;
+    underflow_out[i] = fluid_detail::advance_stream(
+        now, last_update[i], remaining[i], buffer_level[i], buffer_capacity[i],
+        allocation[i], playing[i], arrival[i], playback_end[i],
+        view_bandwidth[i]);
   }
 }
 
-/// Batched EFTF/LFTF sort keys: Request::projected_finish — exactly
-/// now + remaining / view_bandwidth per slot, so each precomputed key is
-/// bit-identical to what the per-candidate scalar loop would produce.
+/// Batched EFTF/LFTF sort keys: projected_finish per slot.
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) void projected_finish_keys(
     std::size_t n, Seconds now, const Megabits* __restrict remaining,
@@ -108,37 +91,12 @@ __attribute__((noinline)) void projected_finish_keys(
   remaining = assume_lane_aligned(remaining);
   view_bandwidth = assume_lane_aligned(view_bandwidth);
   for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = now + remaining[i] / view_bandwidth[i];
+    keys[i] = fluid_detail::projected_finish(now, remaining[i],
+                                             view_bandwidth[i]);
   }
 }
 
-/// Batched predicted-event retiming: the arithmetic of the engine's
-/// reschedule_predicted_events for every slot, with rejected predictions
-/// encoded as +inf (see fill_predicted_times in the header for why the
-/// sentinel is unambiguous). Bit-identity with the scalar path, term by
-/// term:
-///   - tx_at = now + remaining / rate for rate > 0 — same division; a
-///     rate <= 0 slot writes +inf, and the consumer re-derives liveness
-///     from the allocation sign, never from this array.
-///   - drain_rate(now) returns view_bandwidth when playing and inside
-///     [arrival, playback_end), else 0. Here that branch becomes
-///     view_bandwidth · in_window_mask · playing: x·1.0 == x and
-///     x·0.0 == +0.0 bitwise (view bandwidths are nonnegative, never -0),
-///     and surplus = rate - 0.0 == rate bitwise, so surplus matches the
-///     scalar value exactly in every case.
-///   - full_at = now + buffer_headroom / surplus with headroom's
-///     `capacity > level ? capacity - level : 0` ternary verbatim; kept
-///     only under the scalar gate (surplus > 1e-12, not buffer_full,
-///     full_at < tx_at). An unkept slot's division may produce inf/NaN —
-///     discarded by the same gate the scalar path short-circuits on.
-///   - low_at = now + (level - threshold) / (0.0 - surplus); for any slot
-///     the gate keeps, surplus < -1e-12 is strictly negative, where
-///     0.0 - surplus is bit-equal to the scalar path's -surplus (they can
-///     differ only at surplus == ±0, which the gate excludes). Written
-///     without unary negate because that defeats GCC's if-conversion.
-///   - The buffer-low branch is only reachable with surplus < -1e-12,
-///     which excludes the buffer-full branch's surplus > 1e-12, so
-///     evaluating both gates unconditionally preserves the if/else-if.
+/// Batched predicted-event retiming: predicted_times per slot.
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) void predicted_event_times(
     std::size_t n, Seconds now, double safety_cover,
@@ -157,32 +115,14 @@ __attribute__((noinline)) void predicted_event_times(
   arrival = assume_lane_aligned(arrival);
   playback_end = assume_lane_aligned(playback_end);
   playing = assume_lane_aligned(playing);
-  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
-    const Mbps rate = allocation[i];
-    const Seconds tx_at = rate > 0.0 ? now + remaining[i] / rate : kNever;
-    tx_out[i] = tx_at;
-
-    const double in_window =
-        (now >= arrival[i]) && (now < playback_end[i]) ? 1.0 : 0.0;
-    const Mbps drain = view_bandwidth[i] * in_window * playing[i];
-    const Mbps surplus = rate - drain;
-
-    const Megabits level = buffer_level[i];
-    const Megabits capacity = buffer_capacity[i];
-    const bool full = level >= capacity - StagingBuffer::kLevelTolerance;
-    const Megabits headroom = capacity > level ? capacity - level : 0.0;
-    const Seconds full_at = now + headroom / surplus;
-    full_out[i] =
-        (surplus > 1e-12 && !full && full_at < tx_at) ? full_at : kNever;
-
-    const Megabits threshold = safety_cover * view_bandwidth[i];
-    const Seconds low_at = now + (level - threshold) / (0.0 - surplus);
-    low_out[i] = (surplus < -1e-12 &&
-                  level > threshold + StagingBuffer::kLevelTolerance &&
-                  low_at < tx_at)
-                     ? low_at
-                     : kNever;
+    const fluid_detail::PredictedTimes times = fluid_detail::predicted_times(
+        now, safety_cover, remaining[i], allocation[i], buffer_level[i],
+        buffer_capacity[i], view_bandwidth[i], arrival[i], playback_end[i],
+        playing[i]);
+    tx_out[i] = times.tx;
+    full_out[i] = times.full;
+    low_out[i] = times.low;
   }
 }
 
@@ -327,50 +267,24 @@ FluidLane::BatchResult FluidLane::advance_batch(
   underflow_scratch.resize(n);
 
   BatchResult result;
-  // Metering upper clip is batch-constant; the lower clip depends on each
-  // stream's last update. Gating matches Metrics::record_transmission
-  // exactly (rate <= 0 and empty clipped intervals contribute nothing).
-  const Seconds meter_hi = std::min(now, window_end);
-
   const Seconds* const last_update = last_update_;
   const Mbps* const allocation = allocation_;
   const Megabits* const underflow_out = underflow_scratch.data();
 
-  // Branchless re-expression of fluid_detail::advance_stream, bit-identical
-  // per stream so the branchy skips become unconditional arithmetic and the
-  // state loop vectorizes ("not vectorized: control flow in loop"
-  // otherwise):
-  //   - No state array ever holds -0.0 (levels/remaining come from
-  //     max(0.0, x), which yields +0.0; rates and times are nonnegative
-  //     inputs), so the identities x + 0.0 == x, x - 0.0 == x,
-  //     x * 0.0 == +0.0 and x * 1.0 == x hold *bitwise* everywhere below.
-  //   - std::max(a, b) is (a < b) ? b : a; each call's argument order is
-  //     chosen so the branch it replaces selects the same operand. The
-  //     negated level is written 0.0 - level, not -level (unary FP negate
-  //     defeats GCC's if-conversion); inside max(0.0, .) the two are
-  //     bit-equivalent, including at level == +0.0.
-  //   - A dt <= 0 stream therefore contributes +0.0 to every accumulator
-  //     and rewrites its own state with the same bits, matching the scalar
-  //     path's early-out exactly.
-  //   - The playback gate `if (!paused)` becomes a multiply by the 1.0/0.0
-  //     playing mask; the baseline build has no FMA, so no contraction can
-  //     fuse these multiplies differently from the scalar path.
-  //
-  // The kernel runs in three passes because GCC refuses to vectorize a loop
-  // carrying FP sum/max reductions without value-changing reassociation:
-  // a light scalar pass does the metering sum and advanced count (reading
-  // only last_update/allocation, both still pre-update), the heavy
-  // per-stream state arithmetic runs reduction-free and vectorized in
-  // advance_states, and a final scan folds the scratch into any_underflow.
-  // The split changes no operation or order: the metering terms are summed
-  // in slot order either way, and the passes touch disjoint values.
+  // Three passes, because GCC refuses to vectorize a loop carrying FP
+  // sum/max reductions without value-changing reassociation: a light scalar
+  // pass does the metering sum and advanced count (reading only
+  // last_update/allocation, both still pre-update), the per-stream state
+  // arithmetic runs reduction-free and vectorized in advance_states, and a
+  // final scan folds the scratch into any_underflow. The metering terms are
+  // summed in slot order, and the passes touch disjoint values.
   Megabits transmitted = 0.0;
   std::size_t advanced = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Seconds start = last_update[i];
     advanced += static_cast<std::size_t>(now - start > 0.0);
-    transmitted +=
-        allocation[i] * std::max(0.0, meter_hi - std::max(start, window_start));
+    transmitted += fluid_detail::metered(allocation[i], start, now,
+                                         window_start, window_end);
   }
 
   advance_states(n, now, last_update_, remaining_, buffer_level_,
@@ -389,16 +303,12 @@ FluidLane::BatchResult FluidLane::advance_batch(
 
 Mbps FluidLane::sum_minimum_rates(std::vector<Mbps>& rates) const {
   const std::size_t n = size_;
-  rates.assign(n, 0.0);
+  rates.resize(n);
   Mbps committed = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    // Request::minimum_rate: 0 only for a paused client whose staging disk
-    // is full (within StagingBuffer::kLevelTolerance), else the view rate.
-    const bool full =
-        buffer_level_[i] >= buffer_capacity_[i] - StagingBuffer::kLevelTolerance;
-    const Mbps rate = (playing_[i] == 0.0 && full) ? 0.0 : view_bandwidth_[i];
-    rates[i] = rate;
-    committed += rate;
+    rates[i] = fluid_detail::minimum_rate(buffer_level_[i], buffer_capacity_[i],
+                                          view_bandwidth_[i], playing_[i]);
+    committed += rates[i];
   }
   return committed;
 }
@@ -406,12 +316,9 @@ Mbps FluidLane::sum_minimum_rates(std::vector<Mbps>& rates) const {
 void FluidLane::eligible_slots(std::vector<std::size_t>& out) const {
   const std::size_t n = size_;
   for (std::size_t i = 0; i < n; ++i) {
-    // sched_detail::workahead_eligible: room in the staging buffer, a
-    // receive link faster than playback, and data left to send.
-    const bool full =
-        buffer_level_[i] >= buffer_capacity_[i] - StagingBuffer::kLevelTolerance;
-    if (!full && receive_bandwidth_[i] > view_bandwidth_[i] &&
-        remaining_[i] > Request::kRemainingTolerance) {
+    if (fluid_detail::workahead_eligible(buffer_level_[i], buffer_capacity_[i],
+                                         receive_bandwidth_[i],
+                                         view_bandwidth_[i], remaining_[i])) {
       out.push_back(i);
     }
   }

@@ -20,7 +20,8 @@
 ///     lane, so the kernel reads them from contiguous storage while
 ///     ordinary reads stay branch-free.
 ///   - While detached (migrating, draining after TxComplete), the home
-///     scalars are authoritative and the scalar path integrates them.
+///     scalars are authoritative and Request::advance integrates them
+///     with the same fluid_detail::advance_stream.
 ///
 /// Storage (PR 9): all arrays live in ONE 64-byte-aligned arena, laid out
 /// hot-to-cold at a shared stride so every array starts on a cache-line
@@ -41,13 +42,15 @@
 /// rescanned only when the argmin was moved later, cleared or removed and
 /// nothing below the bound replaced it.
 ///
-/// Every scheduler recompute advances the whole server through
-/// `advance_batch`, which runs the single-stream formulas in one
-/// vectorizable loop and aggregates the transmission metering into a
-/// per-batch sum. Single-stream advances (pause, migration, completion,
-/// the final flush) go through Request::advance → `advance_one`, which
-/// calls the same formulas directly; the batch kernel is bit-identical to
-/// it per stream, so both paths leave identical trajectories.
+/// Formulas: every per-stream quantity of the fluid model — the advance
+/// step, the metering-window clip, buffer full/headroom/cover, drain rate,
+/// minimum rate, workahead eligibility, projected finish and the three
+/// predicted times — is one inline function in `fluid_detail` below. The
+/// batch kernels (fluid_lane.cpp) call them in their loop bodies, the
+/// per-slot accessors and the Request accessors call them on one stream,
+/// and Metrics calls the clip; no other copy exists. The functions are
+/// branchless (selects, min/max and 1.0/0.0 masks instead of early-outs),
+/// so the kernel loops that inline them still vectorize.
 
 #include <algorithm>
 #include <cstddef>
@@ -65,63 +68,170 @@ namespace vodsim {
 
 class Request;
 
-/// Single-stream fluid formulas, defined exactly once. The scalar path
-/// (Request::advance, StagingBuffer::apply) and the single-slot lane path
-/// call these directly; the batch kernel (fluid_lane.cpp) is a
-/// branchless re-expression of the same operations, proven bit-identical
-/// per stream (the argument is spelled out at the kernel), so restructuring
-/// storage cannot change a single floating-point result per stream.
+/// Per-stream fluid formulas, each defined exactly once. Inputs are plain
+/// values, so the same function serves a lane slot, a detached request's
+/// home scalars and a unit test. `playing` is the 1.0/0.0 playback mask
+/// (0.0 while the viewer is paused).
+///
+/// Branchless on purpose: a call inside a kernel loop must not add
+/// control flow, or GCC stops vectorizing it ("control flow in loop").
+/// Each function is bit-equal to its natural branchy form (early-out at
+/// dt <= 0, `if (!paused)`, clamp-if). No state ever holds -0.0 (levels
+/// and remaining data come from max(0.0, x), which yields +0.0; rates and
+/// times are nonnegative), so x + 0.0, x - 0.0, x * 1.0 and x * 0.0 == +0.0
+/// hold bitwise, and each std::max/std::min argument order selects the
+/// operand the branch would have. Negations are written 0.0 - x, because
+/// unary FP negate defeats GCC's if-conversion.
+/// The TU holding the kernels is built with -ffp-contract=off, and the
+/// x86-64 baseline has no FMA, so no caller can fuse a multiply-add that
+/// rounds differently from another.
 namespace fluid_detail {
 
-/// StagingBuffer::apply's arithmetic on raw level storage: applies inflow
-/// and playback outflow, clamps the level into [0, capacity], and returns
-/// the megabits by which playback would have underrun (0 within tolerance).
-inline Megabits apply_buffer(Megabits& level, Megabits capacity,
-                             Megabits inflow, Megabits outflow) {
-  level += inflow - outflow;
-  Megabits underflow = 0.0;
-  if (level < 0.0) {
-    underflow = -level;
-    level = 0.0;
-  }
-  if (level > capacity) {
-    // Allocation logic never intentionally overfills; anything here is
-    // floating-point slop from event-time rounding.
-    level = capacity;
-  }
+/// Fluid-model tolerance on remaining data (megabits).
+inline constexpr Megabits kRemainingTolerance = 1e-6;
+
+/// True when no further workahead fits (within fluid-model tolerance).
+inline bool buffer_full(Megabits level, Megabits capacity) {
+  return level >= capacity - StagingBuffer::kLevelTolerance;
+}
+
+/// Megabits of additional workahead the staging buffer can hold.
+inline Megabits buffer_headroom(Megabits level, Megabits capacity) {
+  return capacity > level ? capacity - level : 0.0;
+}
+
+/// Seconds of playback the staged level covers at \p view_bandwidth.
+inline Seconds buffer_cover(Megabits level, Mbps view_bandwidth) {
+  return level / view_bandwidth;
+}
+
+/// True once all data has been transmitted.
+inline bool finished(Megabits remaining) {
+  return remaining <= kRemainingTolerance;
+}
+
+/// Rate at which the client consumes data at \p now: the view bandwidth
+/// while playing inside [arrival, playback_end), else +0.0.
+inline Mbps drain_rate(Seconds now, Seconds arrival, Seconds playback_end,
+                       Mbps view_bandwidth, double playing) {
+  const double in_window = (now >= arrival) && (now < playback_end) ? 1.0 : 0.0;
+  return view_bandwidth * in_window * playing;
+}
+
+/// Least rate a stream can usefully absorb: the view bandwidth (the
+/// minimum-flow guarantee), or 0 for a paused client whose staging buffer
+/// is full — its disk cannot take another bit.
+inline Mbps minimum_rate(Megabits level, Megabits capacity,
+                         Mbps view_bandwidth, double playing) {
+  return (playing == 0.0 && buffer_full(level, capacity)) ? 0.0
+                                                          : view_bandwidth;
+}
+
+/// True if a stream can absorb workahead: room in the staging buffer, a
+/// receive link faster than playback, and data left to send.
+inline bool workahead_eligible(Megabits level, Megabits capacity,
+                               Mbps receive_bandwidth, Mbps view_bandwidth,
+                               Megabits remaining) {
+  return !buffer_full(level, capacity) && receive_bandwidth > view_bandwidth &&
+         !finished(remaining);
+}
+
+/// EFTF/LFTF ordering key: when the transmission would finish if sent at
+/// exactly the view bandwidth from \p now on.
+inline Seconds projected_finish(Seconds now, Megabits remaining,
+                                Mbps view_bandwidth) {
+  return now + remaining / view_bandwidth;
+}
+
+/// Megabits sent at \p rate over [t0, t1] that fall inside the metering
+/// window [window_start, window_end]; +0.0 when the two do not overlap.
+inline Megabits metered(Mbps rate, Seconds t0, Seconds t1,
+                        Seconds window_start, Seconds window_end) {
+  return rate *
+         std::max(0.0, std::min(t1, window_end) - std::max(t0, window_start));
+}
+
+/// Applies \p inflow received and \p outflow played to a staging-buffer
+/// \p level, clamping it into [0, capacity] (overshoot past capacity is
+/// floating-point slop from event-time rounding). Returns the megabits by
+/// which playback underran, 0 within StagingBuffer::kLevelTolerance.
+inline Megabits fill_buffer(Megabits& level, Megabits capacity,
+                            Megabits inflow, Megabits outflow) {
+  const Megabits raw = level + (inflow - outflow);
+  const Megabits underflow = std::max(0.0, 0.0 - raw);
+  level = std::min(std::max(raw, 0.0), capacity);
   return underflow > StagingBuffer::kLevelTolerance ? underflow : 0.0;
 }
 
-/// One stream's fluid step from `last_update` to `now`: the exact
-/// arithmetic of Request::advance + StagingBuffer::apply on caller-supplied
-/// storage. Returns megabits of playback underflow over the interval.
+/// One stream's fluid step from \p last_update to \p now at a constant
+/// \p allocation: sends data, plays back the part of the interval that
+/// overlaps [arrival, playback_end] unless paused, and sets last_update to
+/// now. A step with now <= last_update moves nothing but the clock.
+/// Returns megabits of playback underflow over the interval. The engine
+/// advances exactly at pause/resume instants, so `playing` is constant
+/// across any integrated interval.
 inline Megabits advance_stream(Seconds now, Seconds& last_update,
                                Megabits& remaining, Megabits& buffer_level,
                                Megabits buffer_capacity, Mbps allocation,
-                               bool paused, Seconds arrival,
+                               double playing, Seconds arrival,
                                Seconds playback_end, Mbps view_bandwidth) {
-  const Seconds dt = now - last_update;
-  if (dt <= 0.0) {
-    last_update = now;
-    return 0.0;
-  }
-
-  const Megabits inflow = allocation * dt;
+  const Seconds start = last_update;
+  const Megabits inflow = allocation * std::max(0.0, now - start);
   remaining = std::max(0.0, remaining - inflow);
-
-  // Playback consumes view_bandwidth over the part of [last_update, now]
-  // that overlaps [arrival, playback_end] — unless paused. The engine
-  // advances exactly at pause/resume instants, so the paused flag is
-  // constant across any integrated interval.
-  Megabits outflow = 0.0;
-  if (!paused) {
-    const Seconds play_lo = std::max(last_update, arrival);
-    const Seconds play_hi = std::min(now, playback_end);
-    if (play_hi > play_lo) outflow = view_bandwidth * (play_hi - play_lo);
-  }
-
+  const Seconds play_span =
+      std::min(now, playback_end) - std::max(start, arrival);
+  const Megabits outflow =
+      view_bandwidth * std::max(0.0, play_span) * playing;
   last_update = now;
-  return apply_buffer(buffer_level, buffer_capacity, inflow, outflow);
+  return fill_buffer(buffer_level, buffer_capacity, inflow, outflow);
+}
+
+/// A stream's three predicted event times; +inf means no event.
+struct PredictedTimes {
+  Seconds tx = 0.0;    ///< transmission complete
+  Seconds full = 0.0;  ///< staging buffer full
+  Seconds low = 0.0;   ///< staged cover down to the safety threshold
+};
+
+/// The engine's predicted events for a stream sent at \p rate from \p now
+/// (DESIGN.md §8). Transmission completes at now + remaining / rate when
+/// rate > 0. The buffer fills at rate - drain: a full event is kept when
+/// that surplus exceeds 1e-12, the buffer is not full and it fills before
+/// transmission ends. A draining stream (surplus below -1e-12) whose level
+/// is above `safety_cover` seconds of playback gets a low event when it
+/// reaches that threshold before transmission ends, so the intermittent
+/// scheduler feeds it again before playback starves; one already at or
+/// below the threshold is known-urgent, and waking it again would only
+/// churn events. An unkept time is +inf (its division may have produced
+/// inf or NaN; the gate discards it). Transmission-complete liveness is
+/// the rate's sign, not tx's finiteness: a tiny positive rate can divide
+/// to +inf and still mean "transmitting".
+inline PredictedTimes predicted_times(
+    Seconds now, double safety_cover, Megabits remaining, Mbps rate,
+    Megabits level, Megabits capacity, Mbps view_bandwidth, Seconds arrival,
+    Seconds playback_end, double playing) {
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+  PredictedTimes times;
+  times.tx = rate > 0.0 ? now + remaining / rate : kNever;
+
+  const Mbps surplus =
+      rate - drain_rate(now, arrival, playback_end, view_bandwidth, playing);
+  const Seconds full_at = now + buffer_headroom(level, capacity) / surplus;
+  times.full = (surplus > 1e-12 && !buffer_full(level, capacity) &&
+                full_at < times.tx)
+                   ? full_at
+                   : kNever;
+
+  // The two gates exclude each other (surplus > 1e-12 vs < -1e-12), so
+  // evaluating both is an if / else-if.
+  const Megabits threshold = safety_cover * view_bandwidth;
+  const Seconds low_at = now + (level - threshold) / (0.0 - surplus);
+  times.low = (surplus < -1e-12 &&
+               level > threshold + StagingBuffer::kLevelTolerance &&
+               low_at < times.tx)
+                  ? low_at
+                  : kNever;
+  return times;
 }
 
 }  // namespace fluid_detail
@@ -182,33 +292,47 @@ class FluidLane {
   }
   void set_playback_end(std::size_t i, Seconds end) { playback_end_[i] = end; }
 
-  /// Advances one slot (Request::advance's path): the single-stream
-  /// formulas called directly. Returns playback underflow (Mb).
+  /// Advances one slot (Request::advance's path). Returns playback
+  /// underflow (Mb).
   Megabits advance_one(std::size_t i, Seconds now) {
     return fluid_detail::advance_stream(
         now, last_update_[i], remaining_[i], buffer_level_[i],
-        buffer_capacity_[i], allocation_[i], playing_[i] == 0.0, arrival_[i],
+        buffer_capacity_[i], allocation_[i], playing_[i], arrival_[i],
         playback_end_[i], view_bandwidth_[i]);
+  }
+
+  /// Slot \p i's EFTF/LFTF sort key at \p now.
+  Seconds projected_finish(std::size_t i, Seconds now) const {
+    return fluid_detail::projected_finish(now, remaining_[i],
+                                          view_bandwidth_[i]);
+  }
+
+  /// Slot \p i's three predicted event times at \p now (+inf = none);
+  /// \p safety_cover is SimulationConfig::intermittent_safety_cover.
+  fluid_detail::PredictedTimes predicted_times(std::size_t i, Seconds now,
+                                               double safety_cover) const {
+    return fluid_detail::predicted_times(
+        now, safety_cover, remaining_[i], allocation_[i], buffer_level_[i],
+        buffer_capacity_[i], view_bandwidth_[i], arrival_[i],
+        playback_end_[i], playing_[i]);
   }
 
   /// Aggregate outcome of one batched advance.
   struct BatchResult {
-    /// Σ allocation · dt over the batch, clipped per stream to the
-    /// metering window — the batch equivalent of one
-    /// Metrics::record_transmission call per stream, summed locally.
+    /// Σ fluid_detail::metered over the batch: what one
+    /// Metrics::record_transmission call per stream would add, summed
+    /// locally.
     Megabits transmitted_in_window = 0.0;
     std::size_t advanced = 0;  ///< streams with dt > 0
     bool any_underflow = false;
   };
 
-  /// Batch kernel: advances every slot to \p now in one branchless,
-  /// vectorizable loop free of per-stream call order. Per-stream state
-  /// updates are bit-identical to advance_one (see the kernel for the
-  /// proof sketch); only the metering is summed per batch instead of per
-  /// stream.
-  /// \p underflow_scratch is resized to size() and receives
-  /// each slot's playback underflow (0 for almost every stream — the
-  /// engine walks it only when the result says any_underflow).
+  /// Batch kernel: advance_one for every slot to \p now in one
+  /// vectorizable loop free of per-stream call order; only the metering is
+  /// summed per batch instead of per stream. \p underflow_scratch is
+  /// resized to size() and receives each slot's playback underflow (0 for
+  /// almost every stream — the engine walks it only when the result says
+  /// any_underflow).
   BatchResult advance_batch(Seconds now, Seconds window_start,
                             Seconds window_end,
                             std::vector<Megabits>& underflow_scratch);
@@ -217,37 +341,24 @@ class FluidLane {
   // The allocation hot loops (sched/scheduler.cpp, sched/finish_order.cpp)
   // and the engine's predicted-event retiming evaluate per-stream formulas
   // on every recompute; walking the arrays beats chasing Request pointers.
-  // Every pass below is an exact replica of the corresponding Request
-  // formula on the same authoritative values, so using them changes no
-  // result bit — the determinism goldens pin that.
+  // Each pass applies the fluid_detail function to every slot, so a batch
+  // output equals the per-slot accessor's result for that slot.
 
-  /// Fills \p rates with each slot's minimum rate (Request::minimum_rate
-  /// semantics: the view bandwidth, or 0 for a paused client with a full
-  /// staging buffer) and returns their sum in slot order.
+  /// Fills \p rates with each slot's fluid_detail::minimum_rate and returns
+  /// their sum in slot order.
   Mbps sum_minimum_rates(std::vector<Mbps>& rates) const;
 
   /// Appends to \p out the slots that can absorb workahead
-  /// (sched_detail::workahead_eligible semantics), in slot order.
+  /// (fluid_detail::workahead_eligible), in slot order.
   void eligible_slots(std::vector<std::size_t>& out) const;
 
-  /// Writes every slot's EFTF/LFTF sort key — Request::projected_finish
-  /// exactly: now + remaining / view_bandwidth — into keys[0..size()).
-  /// \p keys is resized to size(). One vectorized pass replaces the
-  /// per-candidate virtual-free but division-heavy scalar loop in
-  /// sort_by_projected_finish.
+  /// Writes every slot's projected_finish(i, now) into keys[0..size()) in
+  /// one vectorized pass. \p keys is resized to size().
   void fill_projected_finish(Seconds now, std::vector<Seconds>& keys) const;
 
-  /// Batched predicted-event retiming: computes, for every slot, the three
-  /// times the engine's reschedule_predicted_events derives per stream —
-  /// transmission complete, buffer full, buffer low — with op-for-op
-  /// identical arithmetic (the kernel spells out the argument). A
-  /// prediction whose scalar-path gate would reject it is written as +inf,
-  /// which is unambiguous: the scalar gates themselves can never keep a
-  /// +inf buffer-full/low time (the `t < tx_at` comparison fails on inf),
-  /// and transmission-complete liveness is re-derived by the consumer from
-  /// the allocation sign, not from the array. \p safety_cover is
-  /// SimulationConfig::intermittent_safety_cover. All three outputs are
-  /// resized to size().
+  /// Batched predicted-event retiming: predicted_times(i, now,
+  /// safety_cover) for every slot, split into three arrays resized to
+  /// size().
   void fill_predicted_times(Seconds now, double safety_cover,
                             std::vector<Seconds>& tx_at,
                             std::vector<Seconds>& full_at,
@@ -358,9 +469,8 @@ class FluidLane {
   double* arrival_ = nullptr;
   double* playback_end_ = nullptr;
   /// Playback-drain mask: 1.0 while viewing, 0.0 while paused. Stored as a
-  /// double so the batch kernel applies it as a multiply (x·1.0 and x·0.0
-  /// are bit-exact stand-ins for the scalar path's `if (!paused)`) and the
-  /// loop stays free of mixed-width loads that block vectorization.
+  /// double so the formulas apply it as a multiply and the kernel loops
+  /// stay free of mixed-width loads that block vectorization.
   double* playing_ = nullptr;
   // Cold tail: read only by workahead eligibility, never by the kernels.
   double* receive_bandwidth_ = nullptr;

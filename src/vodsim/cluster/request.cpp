@@ -18,34 +18,20 @@ Request::Request(RequestId id, const Video& video, Seconds arrival,
       last_update_(arrival),
       buffer_(client.buffer_capacity) {}
 
-Seconds Request::projected_finish(Seconds now) const {
-  return now + remaining() / view_bandwidth_;
-}
-
 Megabits Request::advance(Seconds now) {
   assert(now >= last_update() - kTimeSyncTolerance);
   if (lane_ != nullptr) {
     return lane_->advance_one(active_index, now);
   }
-  // Detached path: same single-stream formulas (fluid_detail) on the home
-  // scalars; the buffer keeps draining while a stream migrates or coasts
-  // after transmission completes.
+  // Detached path: the same formula on the home scalars; the buffer keeps
+  // draining while a stream migrates or coasts after transmission
+  // completes.
   Megabits level = buffer_.level();
   const Megabits underflow = fluid_detail::advance_stream(
       now, last_update_, remaining_, level, buffer_.capacity(), allocation_,
-      viewing_paused_, arrival_, playback_end_, view_bandwidth_);
+      playing(), arrival_, playback_end_, view_bandwidth_);
   buffer_.set_level(level);
   return underflow;
-}
-
-Mbps Request::drain_rate(Seconds now) const {
-  if (viewing_paused_) return 0.0;
-  return (now >= arrival_ && now < playback_end_) ? view_bandwidth_ : 0.0;
-}
-
-Mbps Request::minimum_rate() const {
-  if (viewing_paused_ && buffer_full()) return 0.0;
-  return view_bandwidth_;
 }
 
 void Request::pause_viewing(Seconds now) {

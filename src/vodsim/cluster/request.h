@@ -74,8 +74,9 @@ class Request {
 
   // --- staging-buffer view ---------------------------------------------
   // Scalar accessors rather than a StagingBuffer reference: the level may
-  // live in the lane, so there is no single object to hand out. Arithmetic
-  // is identical to StagingBuffer's (full/headroom/playback_cover).
+  // live in the lane, so there is no single object to hand out. Each
+  // formula is the fluid_detail function of the same name
+  // (cluster/fluid_lane.h), the one the lane's batch passes apply per slot.
   Megabits buffer_level() const {
     return lane_ != nullptr ? lane_->buffer_level(active_index) : buffer_.level();
   }
@@ -83,35 +84,37 @@ class Request {
 
   /// True when no further workahead fits (within fluid-model tolerance).
   bool buffer_full() const {
-    return buffer_level() >= buffer_.capacity() - StagingBuffer::kLevelTolerance;
+    return fluid_detail::buffer_full(buffer_level(), buffer_.capacity());
   }
 
   /// Megabits of additional workahead the staging buffer can hold.
   Megabits buffer_headroom() const {
-    const Megabits level = buffer_level();
-    return buffer_.capacity() > level ? buffer_.capacity() - level : 0.0;
+    return fluid_detail::buffer_headroom(buffer_level(), buffer_.capacity());
   }
 
   /// Seconds of playback the staged data covers at this request's view rate.
-  Seconds buffer_cover() const { return buffer_level() / view_bandwidth_; }
+  Seconds buffer_cover() const {
+    return fluid_detail::buffer_cover(buffer_level(), view_bandwidth_);
+  }
 
   /// Rate at which the client consumes data right now (0 while paused or
-  /// after the video ends).
-  Mbps drain_rate(Seconds now) const;
+  /// outside [arrival, playback_end)).
+  Mbps drain_rate(Seconds now) const {
+    return fluid_detail::drain_rate(now, arrival_, playback_end_,
+                                    view_bandwidth_, playing());
+  }
 
   /// Least rate this request can usefully absorb. Normally the view
   /// bandwidth (the minimum-flow guarantee); 0 when the client is paused
   /// with a full staging buffer — its disk cannot take another bit, so
   /// forcing flow at it would only be discarded.
-  Mbps minimum_rate() const;
-
-  /// Time at which the transmission would finish if sent at exactly
-  /// view_bandwidth from \p now on — EFTF's ordering key. Smaller remaining
-  /// data = earlier projected finish.
-  Seconds projected_finish(Seconds now) const;
+  Mbps minimum_rate() const {
+    return fluid_detail::minimum_rate(buffer_level(), buffer_.capacity(),
+                                      view_bandwidth_, playing());
+  }
 
   /// True if all data has been transmitted.
-  bool finished() const { return remaining() <= kRemainingTolerance; }
+  bool finished() const { return fluid_detail::finished(remaining()); }
 
   /// Megabits delivered to the client so far (audit surface: the invariant
   /// auditor reconciles the sum of these against the integrated fluid flow).
@@ -153,8 +156,8 @@ class Request {
   void detach_lane();
 
   /// The owning server's lane while attached (slot = active_index), null
-  /// otherwise. Lets the scheduler hot loops detect that a candidate vector
-  /// is lane-backed and read the SoA arrays directly.
+  /// otherwise. The schedulers check through it that their candidate
+  /// vector is a server's active list (sched_detail::lane_view).
   const FluidLane* lane() const { return lane_; }
 
   /// Handle of the pending end-of-playback event (engine-managed). The
@@ -187,7 +190,8 @@ class Request {
   ServerId last_server = kNoServer;
 
   /// Fluid-model tolerance on remaining data (megabits).
-  static constexpr Megabits kRemainingTolerance = 1e-6;
+  static constexpr Megabits kRemainingTolerance =
+      fluid_detail::kRemainingTolerance;
 
  private:
   RequestId id_;
@@ -210,6 +214,9 @@ class Request {
   bool viewing_paused_ = false;
   Seconds pause_started_ = 0.0;
   int pause_count_ = 0;
+
+  /// The 1.0/0.0 playback mask the fluid_detail formulas take.
+  double playing() const { return viewing_paused_ ? 0.0 : 1.0; }
 };
 
 }  // namespace vodsim

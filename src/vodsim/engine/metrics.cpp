@@ -1,7 +1,8 @@
 #include "vodsim/engine/metrics.h"
 
-#include <algorithm>
 #include <cassert>
+
+#include "vodsim/cluster/fluid_lane.h"
 
 namespace vodsim {
 
@@ -15,10 +16,7 @@ Metrics::Metrics(Seconds window_start, Seconds window_end, Mbps total_bandwidth)
 
 void Metrics::record_transmission(Seconds t0, Seconds t1, Mbps rate) {
   if (rate <= 0.0) return;
-  const Seconds lo = std::max(t0, window_start_);
-  const Seconds hi = std::min(t1, window_end_);
-  if (hi <= lo) return;
-  transmitted_ += rate * (hi - lo);
+  transmitted_ += fluid_detail::metered(rate, t0, t1, window_start_, window_end_);
 }
 
 void Metrics::record_arrival(Seconds t) {
@@ -55,9 +53,8 @@ void Metrics::record_drop(Seconds t) {
 
 void Metrics::record_replication(Seconds t0, Seconds t1, Mbps rate) {
   if (rate <= 0.0) return;
-  const Seconds lo = std::max(t0, window_start_);
-  const Seconds hi = std::min(t1, window_end_);
-  if (hi > lo) replication_megabits_ += rate * (hi - lo);
+  replication_megabits_ +=
+      fluid_detail::metered(rate, t0, t1, window_start_, window_end_);
   // Copies are infrastructure events, not a rate metric: count them even
   // when they complete during warmup (the replicas they created shape the
   // whole measured window).
@@ -99,12 +96,10 @@ void Metrics::set_topology(const Topology* topology,
 void Metrics::record_capacity_loss(Seconds t0, Seconds t1, Mbps lost_mbps,
                                    ServerId server) {
   if (lost_mbps <= 0.0) return;
-  const Seconds lo = std::max(t0, window_start_);
-  const Seconds hi = std::min(t1, window_end_);
-  if (hi <= lo) return;
-  capacity_lost_ += lost_mbps * (hi - lo);
+  const Megabits loss =
+      fluid_detail::metered(lost_mbps, t0, t1, window_start_, window_end_);
+  capacity_lost_ += loss;
   if (topology_ != nullptr && server != kNoServer) {
-    const Megabits loss = lost_mbps * (hi - lo);
     rack_capacity_lost_[static_cast<std::size_t>(topology_->rack_of(server))] +=
         loss;
     zone_capacity_lost_[static_cast<std::size_t>(topology_->zone_of(server))] +=

@@ -944,9 +944,9 @@ void VodSimulation::recompute_server(ServerId server_id) {
   // determinism goldens pin), then re-key the server's one timer. When a
   // mass reallocation moved most of the lane, one vectorized pass computes
   // all three predicted times (+inf = none); sparse changes (the
-  // single-stream-delta steady state) keep the scalar formulas — filling
-  // the whole lane to retime two slots would waste the divisions the batch
-  // amortizes.
+  // single-stream-delta steady state) evaluate the same formula per changed
+  // slot — filling the whole lane to retime two slots would waste the
+  // divisions the batch amortizes.
   if (changed_slots_.size() >= 8 && changed_slots_.size() * 4 >= active.size()) {
     server.lane().fill_predicted_times(now, config_.intermittent_safety_cover,
                                        retime_tx_, retime_full_, retime_low_);
@@ -1211,40 +1211,12 @@ void VodSimulation::cancel_predicted_events(Request& request) {
 
 void VodSimulation::reschedule_predicted_events(Request& request) {
   assert(request.state() == RequestState::kStreaming);
-  const Seconds now = sim_.now();
-  const Mbps rate = request.allocation();
-  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
-
-  // Scalar twin of FluidLane::predicted_event_times: same formulas, same
-  // gates, +inf encodes "no event" (see the kernel for why the encoding is
-  // unambiguous).
-  Seconds tx_at = kNever;
-  if (rate > 0.0) tx_at = now + request.remaining() / rate;
-
-  // The buffer fills at (rate - drain); drain is the view bandwidth while
-  // playing and 0 while paused.
-  Seconds full_at = kNever;
-  Seconds low_at = kNever;
-  const Mbps surplus = rate - request.drain_rate(now);
-  if (surplus > 1e-12 && !request.buffer_full()) {
-    const Seconds candidate = now + request.buffer_headroom() / surplus;
-    if (candidate < tx_at) full_at = candidate;
-  } else if (surplus < -1e-12) {
-    // Intermittent scheduling: the stream is draining faster than it
-    // receives. Wake the scheduler when the staged data reaches the safety
-    // threshold so the stream regains flow before playback starves. A
-    // stream already at/below the threshold is known-urgent to the
-    // scheduler — waking it again immediately would only churn events.
-    const Megabits threshold =
-        config_.intermittent_safety_cover * request.view_bandwidth();
-    const Megabits level = request.buffer_level();
-    if (level > threshold + StagingBuffer::kLevelTolerance) {
-      const Seconds candidate = now + (level - threshold) / -surplus;
-      if (candidate < tx_at) low_at = candidate;
-    }
-  }
-
-  apply_predicted_times(request, tx_at, full_at, low_at);
+  const fluid_detail::PredictedTimes times =
+      servers_[static_cast<std::size_t>(request.server())]
+          .lane()
+          .predicted_times(request.active_index, sim_.now(),
+                           config_.intermittent_safety_cover);
+  apply_predicted_times(request, times.tx, times.full, times.low);
 }
 
 void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,

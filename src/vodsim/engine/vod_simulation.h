@@ -18,6 +18,11 @@
 /// server keeps one queue entry keyed by the earliest of its streams'
 /// predictions. A reallocation that moves hundreds of predictions therefore
 /// writes them into the lane and re-keys one entry (DESIGN.md §8).
+///
+/// Every per-stream quantity the engine reads — advance step, metering
+/// clip, predicted times — is a fluid_detail formula (cluster/fluid_lane.h);
+/// the engine picks whether to apply it to one slot or to a whole lane,
+/// never how to compute it.
 
 #include <cstdint>
 #include <memory>
@@ -224,8 +229,8 @@ class VodSimulation {
   void account_underflow(Request& request, Megabits underflow, Seconds now);
 
   /// recompute_server's advance: one batched kernel over the server's
-  /// FluidLane, metering aggregated per batch. Per-stream trajectories run
-  /// the same single-stream formulas as advance_and_account
+  /// FluidLane, metering aggregated per batch. Per stream it applies the
+  /// same fluid_detail::advance_stream as advance_and_account
   /// (cluster/fluid_lane.h).
   void batch_advance_server(Server& server);
 
@@ -233,14 +238,15 @@ class VodSimulation {
   /// timer. Call before detaching it.
   void cancel_predicted_events(Request& request);
 
-  /// The scalar prediction formulas for one streaming request, stored via
-  /// apply_predicted_times. The caller re-arms the timer.
+  /// One streaming request's predicted times (FluidLane::predicted_times
+  /// on its slot), stored via apply_predicted_times. The caller re-arms the
+  /// timer.
   void reschedule_predicted_events(Request& request);
 
   /// Stores a request's three predicted times (+inf = none) in its lane
   /// slot: one seq drawn from the owning queue per kept prediction, in
   /// tx → full → low order, exactly as the per-stream events this replaces
-  /// consumed them. Does not re-arm the timer. Shared by the scalar path
+  /// consumed them. Does not re-arm the timer. Shared by the per-slot path
   /// and recompute_server's batched one (FluidLane::fill_predicted_times).
   void apply_predicted_times(Request& request, Seconds tx_at, Seconds full_at,
                              Seconds low_at);
@@ -330,7 +336,7 @@ class VodSimulation {
   /// written wholesale by FluidLane::advance_batch).
   std::vector<Megabits> underflow_scratch_;
   /// Slots whose allocation changed in the current recompute pass; decides
-  /// scalar vs. batched predicted-event retiming (reused across events).
+  /// per-slot vs. batched predicted-event retiming (reused across events).
   std::vector<std::size_t> changed_slots_;
   /// Predicted-time outputs of FluidLane::fill_predicted_times (reused;
   /// written wholesale per batched retime pass).

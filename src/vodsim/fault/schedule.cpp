@@ -202,15 +202,6 @@ void generate_partitions(const FailureConfig& config, const Topology& topology,
 }  // namespace
 
 std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config,
-                                                     int num_servers,
-                                                     Seconds horizon, Rng& rng) {
-  // Legacy entry point: trivial (disabled) topology, so the domain phases
-  // never draw and the schedule is exactly the pre-topology one.
-  return generate_fault_schedule(config, Topology(TopologyConfig{}, num_servers),
-                                 horizon, rng);
-}
-
-std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config,
                                                      const Topology& topology,
                                                      Seconds horizon, Rng& rng) {
   std::vector<FaultTransition> schedule;

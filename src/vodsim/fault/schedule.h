@@ -31,17 +31,12 @@
 namespace vodsim {
 
 /// Generates the full fault schedule up to \p horizon, sorted by
-/// (time, server, kind). Empty when `config.enabled` is false. This legacy
-/// entry point delegates to the topology overload with the trivial
-/// single-rack tree, so no domain phase ever draws.
-std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config,
-                                                     int num_servers,
-                                                     Seconds horizon, Rng& rng);
-
-/// As above, with a failure-domain tree: the domain phases (rack outages,
-/// zone brownouts, rack partitions) scope their episodes to \p topology's
-/// racks and zones. With a disabled topology (or no domain sub-config
-/// enabled) the output is bit-identical to the legacy overload.
+/// (time, server, kind). Empty when `config.enabled` is false. The domain
+/// phases (rack outages, zone brownouts, rack partitions) scope their
+/// episodes to \p topology's racks and zones. With a disabled topology
+/// (`Topology(TopologyConfig{}, n)`: one rack, one zone) or no domain
+/// sub-config enabled, no domain phase draws and the schedule is the
+/// per-server one alone.
 std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config,
                                                      const Topology& topology,
                                                      Seconds horizon, Rng& rng);

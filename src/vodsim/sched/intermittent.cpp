@@ -41,6 +41,9 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
                                      std::vector<Mbps>& rates,
                                      AllocationScratch& scratch,
                                      SchedCache* cache) const {
+  // The per-stream reads below go through Request accessors, which read
+  // the same lane slots; check the candidate vector is that lane up front.
+  (void)sched_detail::lane_view(active);
   rates.assign(active.size(), 0.0);
   Mbps left = capacity;
 

@@ -54,15 +54,17 @@ std::string to_string(SchedulerKind kind) {
 
 namespace sched_detail {
 
-// Declared in scheduler.h: shared with finish_order.cpp's batched sort-key
-// fill. The doc comment lives on the declaration.
-const FluidLane* lane_view(const std::vector<Request*>& active) {
-  if (active.empty()) return nullptr;
+// Declared in scheduler.h: shared with finish_order.cpp's sort keys. The
+// doc comment lives on the declaration.
+const FluidLane& lane_view(const std::vector<Request*>& active) {
+  static const FluidLane kNoStreams;
+  if (active.empty()) return kNoStreams;
   const FluidLane* lane = active.front()->lane();
   if (lane == nullptr || lane->size() != active.size() ||
       active.front()->active_index != 0 || active.back()->lane() != lane ||
       active.back()->active_index != active.size() - 1) {
-    return nullptr;
+    throw std::invalid_argument(
+        "scheduler candidates must be a server's active list");
   }
 #ifndef NDEBUG
   for (std::size_t i = 0; i < active.size(); ++i) {
@@ -70,44 +72,20 @@ const FluidLane* lane_view(const std::vector<Request*>& active) {
            "lane-backed candidate vector out of slot order");
   }
 #endif
-  return lane;
+  return *lane;
 }
 
 Mbps assign_minimum_flow(Mbps capacity, const std::vector<Request*>& active,
                          std::vector<Mbps>& rates) {
-  Mbps committed = 0.0;
-  if (const FluidLane* lane = lane_view(active)) {
-    committed = lane->sum_minimum_rates(rates);
-  } else {
-    rates.assign(active.size(), 0.0);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      // minimum_rate() is the view bandwidth except for a paused client
-      // whose staging disk is full — it cannot absorb anything, so its
-      // share of the link becomes slack for the others until it resumes.
-      rates[i] = active[i]->minimum_rate();
-      committed += rates[i];
-    }
-  }
+  const Mbps committed = lane_view(active).sum_minimum_rates(rates);
   assert(committed <= capacity + 1e-6 && "admission over-committed the server");
   return capacity > committed ? capacity - committed : 0.0;
-}
-
-bool workahead_eligible(const Request& request) {
-  return !request.buffer_full() &&
-         request.receive_bandwidth() > request.view_bandwidth() &&
-         !request.finished();
 }
 
 void eligible_indices(const std::vector<Request*>& active,
                       std::vector<std::size_t>& out) {
   out.clear();
-  if (const FluidLane* lane = lane_view(active)) {
-    lane->eligible_slots(out);
-    return;
-  }
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    if (workahead_eligible(*active[i])) out.push_back(i);
-  }
+  lane_view(active).eligible_slots(out);
 }
 
 void distribute_greedy(Mbps slack, const std::vector<std::size_t>& order,

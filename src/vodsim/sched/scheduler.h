@@ -57,7 +57,9 @@ class BandwidthScheduler {
   virtual ~BandwidthScheduler() = default;
 
   /// Computes allocations for \p active (the server's unfinished requests,
-  /// all advanced to \p now) under total link \p capacity. Writes one rate
+  /// all advanced to \p now) under total link \p capacity. \p active must
+  /// be the server's own active list (Server::active_requests()), else
+  /// std::invalid_argument (sched_detail::lane_view). Writes one rate
   /// per request into \p rates (resized to active.size()); \p scratch holds
   /// reusable working buffers (contents are clobbered). \p cache, when
   /// non-null, is the calling server's persistent ordering state: the
@@ -126,28 +128,25 @@ std::string to_string(SchedulerKind kind);
 
 namespace sched_detail {
 
-/// The FluidLane backing \p active when the vector is exactly the owning
-/// server's active list (slot i == index i) — the engine always passes
-/// `server.active_requests()`, for which this holds by construction.
-/// Hand-built candidate vectors (reference oracle, microbenchmarks) have
-/// unattached requests or broken endpoint correspondence and get nullptr;
-/// callers fall back to the per-request path. Reading predicates off the
-/// lane arrays evaluates the same fields the Request accessors would
-/// return, so the two paths are bit-identical — the determinism goldens
-/// pin it. Shared by scheduler.cpp's hot loops and finish_order.cpp's
-/// batched sort-key fill.
-const FluidLane* lane_view(const std::vector<Request*>& active);
+/// The FluidLane backing \p active, which must be exactly the owning
+/// server's active list (slot i == index i) — the engine, the reference
+/// oracle and the tests all pass `server.active_requests()`. An empty
+/// vector yields an empty lane. Throws std::invalid_argument when the
+/// endpoints do not match a lane (unattached requests, a subset of a
+/// server's list); the check is O(1), and Debug builds also assert every
+/// slot, which catches a reordered list. Every scheduler
+/// reads its per-stream inputs through this lane (or through Request
+/// accessors that read the same slot), so allocate() inherits the
+/// precondition.
+const FluidLane& lane_view(const std::vector<Request*>& active);
 
-/// Gives every request its view bandwidth; returns the remaining slack.
-/// Asserts the minimum-flow commitments fit in capacity.
+/// Gives every request its minimum rate (fluid_detail::minimum_rate);
+/// returns the remaining slack. Asserts the commitments fit in capacity.
 Mbps assign_minimum_flow(Mbps capacity, const std::vector<Request*>& active,
                          std::vector<Mbps>& rates);
 
-/// True if \p request can absorb workahead (buffer headroom + receive cap).
-bool workahead_eligible(const Request& request);
-
-/// Fills \p out with the indices of workahead-eligible requests (cleared
-/// first; capacity is reused across calls — no allocation after warmup).
+/// Fills \p out with the indices of workahead-eligible requests
+/// (fluid_detail::workahead_eligible; cleared first, capacity reused).
 void eligible_indices(const std::vector<Request*>& active,
                       std::vector<std::size_t>& out);
 

@@ -29,53 +29,56 @@ Video make_video(VideoId id = 0, Seconds duration = 600.0, Mbps view = 3.0) {
 }
 
 // ---------------------------------------------------------------- staging buffer
+// The staging-buffer formulas (fluid_detail, cluster/fluid_lane.h) on a
+// plain level, as every lane slot and detached request applies them.
 
 TEST(StagingBuffer, FillsAndDrains) {
-  StagingBuffer buffer(100.0);
-  EXPECT_DOUBLE_EQ(buffer.apply(30.0, 10.0), 0.0);
-  EXPECT_DOUBLE_EQ(buffer.level(), 20.0);
-  EXPECT_DOUBLE_EQ(buffer.apply(0.0, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(buffer.level(), 15.0);
+  Megabits level = 0.0;
+  EXPECT_DOUBLE_EQ(fluid_detail::fill_buffer(level, 100.0, 30.0, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(level, 20.0);
+  EXPECT_DOUBLE_EQ(fluid_detail::fill_buffer(level, 100.0, 0.0, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(level, 15.0);
 }
 
 TEST(StagingBuffer, ReportsUnderflow) {
-  StagingBuffer buffer(100.0);
-  buffer.apply(10.0, 0.0);
-  const Megabits underflow = buffer.apply(0.0, 25.0);
+  Megabits level = 0.0;
+  fluid_detail::fill_buffer(level, 100.0, 10.0, 0.0);
+  const Megabits underflow = fluid_detail::fill_buffer(level, 100.0, 0.0, 25.0);
   EXPECT_DOUBLE_EQ(underflow, 15.0);
-  EXPECT_DOUBLE_EQ(buffer.level(), 0.0);  // clamped
+  EXPECT_DOUBLE_EQ(level, 0.0);  // clamped
 }
 
 TEST(StagingBuffer, ClampsAtCapacity) {
-  StagingBuffer buffer(50.0);
-  buffer.apply(60.0, 0.0);
-  EXPECT_DOUBLE_EQ(buffer.level(), 50.0);
-  EXPECT_TRUE(buffer.full());
-  EXPECT_DOUBLE_EQ(buffer.headroom(), 0.0);
+  Megabits level = 0.0;
+  fluid_detail::fill_buffer(level, 50.0, 60.0, 0.0);
+  EXPECT_DOUBLE_EQ(level, 50.0);
+  EXPECT_TRUE(fluid_detail::buffer_full(level, 50.0));
+  EXPECT_DOUBLE_EQ(fluid_detail::buffer_headroom(level, 50.0), 0.0);
 }
 
 TEST(StagingBuffer, FullWithinTolerance) {
-  StagingBuffer buffer(50.0);
-  buffer.apply(50.0 - 1e-8, 0.0);
-  EXPECT_TRUE(buffer.full());
+  Megabits level = 0.0;
+  fluid_detail::fill_buffer(level, 50.0, 50.0 - 1e-8, 0.0);
+  EXPECT_TRUE(fluid_detail::buffer_full(level, 50.0));
+  EXPECT_FALSE(fluid_detail::buffer_full(50.0 - 1e-3, 50.0));
 }
 
 TEST(StagingBuffer, PlaybackCover) {
-  StagingBuffer buffer(100.0);
-  buffer.apply(30.0, 0.0);
-  EXPECT_DOUBLE_EQ(buffer.playback_cover(3.0), 10.0);
+  Megabits level = 0.0;
+  fluid_detail::fill_buffer(level, 100.0, 30.0, 0.0);
+  EXPECT_DOUBLE_EQ(fluid_detail::buffer_cover(level, 3.0), 10.0);
 }
 
 TEST(StagingBuffer, ZeroCapacityAlwaysFull) {
-  StagingBuffer buffer(0.0);
-  EXPECT_TRUE(buffer.full());
-  EXPECT_DOUBLE_EQ(buffer.headroom(), 0.0);
+  EXPECT_TRUE(fluid_detail::buffer_full(0.0, 0.0));
+  EXPECT_DOUBLE_EQ(fluid_detail::buffer_headroom(0.0, 0.0), 0.0);
 }
 
 TEST(StagingBuffer, TinyUnderflowIgnored) {
-  StagingBuffer buffer(10.0);
-  buffer.apply(1.0, 0.0);
-  EXPECT_DOUBLE_EQ(buffer.apply(0.0, 1.0 + 1e-9), 0.0);  // below tolerance
+  Megabits level = 0.0;
+  fluid_detail::fill_buffer(level, 10.0, 1.0, 0.0);
+  EXPECT_DOUBLE_EQ(fluid_detail::fill_buffer(level, 10.0, 0.0, 1.0 + 1e-9),
+                   0.0);  // below tolerance
 }
 
 // ---------------------------------------------------------------- request
@@ -116,8 +119,12 @@ TEST(Request, WorkaheadFillsBuffer) {
 
 TEST(Request, ProjectedFinishUsesViewBandwidth) {
   ClientProfile client{120.0, 30.0};
+  Server server(0, 1000.0, 1e6);
   Request request(1, make_video(), 0.0, client);
-  EXPECT_DOUBLE_EQ(request.projected_finish(50.0), 50.0 + 1800.0 / 3.0);
+  request.begin_streaming(0.0, 0);
+  server.attach(request);
+  EXPECT_DOUBLE_EQ(server.lane().projected_finish(request.active_index, 50.0),
+                   50.0 + 1800.0 / 3.0);
 }
 
 TEST(Request, AdvanceStopsConsumingAfterPlaybackEnd) {
@@ -408,8 +415,8 @@ TEST(FluidLane, MutatorsWriteThroughToLane) {
   EXPECT_DOUBLE_EQ(request.buffer_level(), 30.0);  // -3*10 out, nothing in
 }
 
-// The batched sort-key pass must produce exactly the doubles the scalar
-// per-candidate loop computes: same division, same add, per slot.
+// The batched sort-key pass must produce exactly the per-slot formula's
+// doubles, slot by slot.
 TEST(FluidLane, FillProjectedFinishMatchesScalar) {
   ClientProfile client{120.0, 30.0};
   Server server(0, 1000.0, 1e6);
@@ -425,21 +432,24 @@ TEST(FluidLane, FillProjectedFinishMatchesScalar) {
     all[i]->advance(10.0);
   }
 
+  const FluidLane& lane = server.lane();
   std::vector<Seconds> keys;
-  server.lane().fill_projected_finish(37.5, keys);
+  lane.fill_projected_finish(37.5, keys);
   ASSERT_EQ(keys.size(), 3u);
-  for (Request* request : all) {
-    // Exact double equality on purpose: identical formula, identical inputs.
-    EXPECT_EQ(keys[request->active_index], request->projected_finish(37.5));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    // Exact double equality on purpose: one formula, identical inputs.
+    EXPECT_EQ(keys[i], lane.projected_finish(i, 37.5));
   }
+  // r2 sent 30 of its 3000 Mb: 2970 Mb at the 3 Mb/s view rate.
+  EXPECT_DOUBLE_EQ(keys[r2.active_index], 37.5 + 990.0);
 }
 
-// The batched predicted-event pass must reproduce the engine's scalar
-// retiming arithmetic bit for bit, and its gates decision for decision,
-// with +inf encoding "no event". Four regimes in one lane: a workahead
-// filler (buffer-full kept), a starved drainer with staged data
-// (buffer-low kept), a zero-rate stream (tx-complete never), and a
-// full-buffer filler (buffer-full suppressed by the fullness gate).
+// The batched predicted-event pass must reproduce the per-slot formula bit
+// for bit, and each gate must keep or drop the expected event, with +inf
+// encoding "no event". Four regimes in one lane: a workahead filler
+// (buffer-full kept), a starved drainer with staged data (buffer-low
+// kept), a zero-rate stream (tx-complete never), and a full-buffer filler
+// (buffer-full suppressed by the fullness gate).
 TEST(FluidLane, FillPredictedTimesMatchesScalarGates) {
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   ClientProfile client{120.0, 30.0};
@@ -462,47 +472,33 @@ TEST(FluidLane, FillPredictedTimesMatchesScalarGates) {
   stalled.set_allocation(now, 0.0);  // starved entirely
 
   const double safety_cover = 4.0;  // threshold = 12 Mb at view 3.0
+  const FluidLane& lane = server.lane();
   std::vector<Seconds> tx, full, low;
-  server.lane().fill_predicted_times(now, safety_cover, tx, full, low);
+  lane.fill_predicted_times(now, safety_cover, tx, full, low);
   ASSERT_EQ(tx.size(), 4u);
-
-  // Scalar replicas of reschedule_predicted_events' arithmetic, computed
-  // through the Request accessors. Exact equality on purpose.
-  auto scalar_tx = [&](const Request& r) {
-    return r.allocation() > 0.0 ? now + r.remaining() / r.allocation() : kNever;
-  };
-  for (Request* request : all) {
-    EXPECT_EQ(tx[request->active_index], scalar_tx(*request));
+  for (std::size_t i = 0; i < tx.size(); ++i) {
+    // Exact equality on purpose: one formula, identical inputs.
+    const fluid_detail::PredictedTimes times =
+        lane.predicted_times(i, now, safety_cover);
+    EXPECT_EQ(tx[i], times.tx);
+    EXPECT_EQ(full[i], times.full);
+    EXPECT_EQ(low[i], times.low);
   }
 
-  {  // filler: surplus 3 > 0, buffer has headroom, fills before tx.
-    const Mbps surplus = filler.allocation() - filler.drain_rate(now);
-    const Seconds expected = now + filler.buffer_headroom() / surplus;
-    ASSERT_LT(expected, scalar_tx(filler));
-    EXPECT_EQ(full[filler.active_index], expected);
-    EXPECT_EQ(low[filler.active_index], kNever);
-  }
-  {  // drainer: surplus -2, level 60 above threshold 12 -> low at +24 s.
-    const Mbps surplus = drainer.allocation() - drainer.drain_rate(now);
-    ASSERT_LT(surplus, 0.0);
-    const Megabits threshold = safety_cover * drainer.view_bandwidth();
-    const Seconds expected =
-        now + (drainer.buffer_level() - threshold) / -surplus;
-    EXPECT_EQ(low[drainer.active_index], expected);
-    EXPECT_EQ(full[drainer.active_index], kNever);
-  }
-  {  // stalled: rate 0 -> no tx-complete; still drains toward the threshold.
-    EXPECT_EQ(tx[stalled.active_index], kNever);
-    const Mbps surplus = 0.0 - stalled.drain_rate(now);
-    const Megabits threshold = safety_cover * stalled.view_bandwidth();
-    const Seconds expected =
-        now + (stalled.buffer_level() - threshold) / -surplus;
-    EXPECT_EQ(low[stalled.active_index], expected);
-  }
-  {  // brimming: surplus 12 > 0 but the buffer is full -> no full event.
-    EXPECT_EQ(full[brimming.active_index], kNever);
-    EXPECT_EQ(low[brimming.active_index], kNever);
-  }
+  // filler: 1740 Mb left at 6 Mb/s; surplus 3 fills the 90 Mb headroom in
+  // 30 s, before transmission ends.
+  EXPECT_DOUBLE_EQ(tx[filler.active_index], now + 1740.0 / 6.0);
+  EXPECT_DOUBLE_EQ(full[filler.active_index], now + 30.0);
+  EXPECT_EQ(low[filler.active_index], kNever);
+  // drainer: surplus -2, level 60 above threshold 12 -> low at +24 s.
+  EXPECT_DOUBLE_EQ(low[drainer.active_index], now + 24.0);
+  EXPECT_EQ(full[drainer.active_index], kNever);
+  // stalled: rate 0 -> no tx-complete; drains at 3 toward the threshold.
+  EXPECT_EQ(tx[stalled.active_index], kNever);
+  EXPECT_DOUBLE_EQ(low[stalled.active_index], now + (60.0 - 12.0) / 3.0);
+  // brimming: surplus 12 > 0 but the buffer is full -> no full event.
+  EXPECT_EQ(full[brimming.active_index], kNever);
+  EXPECT_EQ(low[brimming.active_index], kNever);
 }
 
 // Churn across the arena's hot/cold split: swap_remove must move every
@@ -638,20 +634,23 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
   std::vector<Megabits> scratch;
   batched_server.lane().advance_batch(10.0, 0.0, 1e9, scratch);
 
+  const FluidLane& lane = batched_server.lane();
   std::vector<Seconds> keys, tx, full, low;
-  batched_server.lane().fill_projected_finish(10.0, keys);
-  batched_server.lane().fill_predicted_times(10.0, 4.0, tx, full, low);
+  lane.fill_projected_finish(10.0, keys);
+  lane.fill_predicted_times(10.0, 4.0, tx, full, low);
   for (int i = 0; i < kStreams; ++i) {
     SCOPED_TRACE(i);
     const Request& scalar = scalar_requests[static_cast<std::size_t>(i)];
     const Request& batched = batched_requests[static_cast<std::size_t>(i)];
     EXPECT_EQ(batched.remaining(), scalar.remaining());
     EXPECT_EQ(batched.buffer_level(), scalar.buffer_level());
-    EXPECT_EQ(keys[batched.active_index], scalar.projected_finish(10.0));
-    EXPECT_EQ(tx[batched.active_index],
-              scalar.allocation() > 0.0
-                  ? 10.0 + scalar.remaining() / scalar.allocation()
-                  : std::numeric_limits<Seconds>::infinity());
+    const std::size_t slot = batched.active_index;
+    EXPECT_EQ(keys[slot], lane.projected_finish(slot, 10.0));
+    const fluid_detail::PredictedTimes times =
+        lane.predicted_times(slot, 10.0, 4.0);
+    EXPECT_EQ(tx[slot], times.tx);
+    EXPECT_EQ(full[slot], times.full);
+    EXPECT_EQ(low[slot], times.low);
   }
 #else
   GTEST_SKIP() << "x86-64 only";

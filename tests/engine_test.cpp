@@ -532,7 +532,9 @@ TEST(PolicyMatrix, DescriptionsReadable) {
 TEST(FailureTimeline, DisabledIsEmpty) {
   FailureConfig config;
   Rng rng(1);
-  EXPECT_TRUE(generate_fault_schedule(config, 10, hours(100), rng).empty());
+  EXPECT_TRUE(generate_fault_schedule(config, Topology(TopologyConfig{}, 10),
+                                      hours(100), rng)
+                  .empty());
 }
 
 TEST(FailureTimeline, AlternatesPerServerAndSorted) {
@@ -541,7 +543,8 @@ TEST(FailureTimeline, AlternatesPerServerAndSorted) {
   config.mean_time_between_failures = hours(10);
   config.mean_time_to_repair = hours(1);
   Rng rng(2);
-  const auto events = generate_fault_schedule(config, 4, hours(200), rng);
+  const auto events = generate_fault_schedule(
+      config, Topology(TopologyConfig{}, 4), hours(200), rng);
   ASSERT_FALSE(events.empty());
   Seconds last = 0.0;
   std::vector<bool> down(4, false);
@@ -565,7 +568,8 @@ TEST(FailureTimeline, RateRoughlyMatchesMtbf) {
   config.mean_time_between_failures = hours(10);
   config.mean_time_to_repair = hours(0.1);
   Rng rng(3);
-  const auto events = generate_fault_schedule(config, 1, hours(10000), rng);
+  const auto events = generate_fault_schedule(
+      config, Topology(TopologyConfig{}, 1), hours(10000), rng);
   int failures = 0;
   for (const FaultTransition& event : events) {
     if (event.kind == FaultTransitionKind::kDown) ++failures;

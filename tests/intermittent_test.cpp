@@ -43,17 +43,19 @@ std::unique_ptr<Request> make_request(RequestId id, Megabits remaining,
   return request;
 }
 
+/// Requests attached to one server with ample bandwidth, so the scheduler
+/// sees a server's active list, as the engine hands it.
 struct ActiveSet {
   std::vector<std::unique_ptr<Request>> owner;
-  std::vector<Request*> active;
+  Server server{0, 1000.0, 1e12};  // room for 333 streams at kView
+  const std::vector<Request*>& active = server.active_requests();
   Seconds now = 0.0;
 
   Request& add(std::unique_ptr<Request> request) {
-    request->active_index = active.size();
     now = std::max(now, request->last_update());
-    active.push_back(request.get());
+    server.attach(*request);
     owner.push_back(std::move(request));
-    return *active.back();
+    return *owner.back();
   }
 
   void sync() {

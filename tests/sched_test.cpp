@@ -5,7 +5,9 @@
 
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 
+#include "vodsim/cluster/server.h"
 #include "vodsim/sched/continuous.h"
 #include "vodsim/sched/eftf.h"
 #include "vodsim/sched/finish_order.h"
@@ -27,7 +29,9 @@ Video make_video(VideoId id, Seconds duration) {
   return video;
 }
 
-/// Owns a set of requests with chosen remaining data / buffer levels.
+/// Owns a server with ample bandwidth and requests with chosen remaining
+/// data / buffer levels attached to it, so the schedulers see a server's
+/// active list (slot i == index i), as the engine hands them.
 class Fixture {
  public:
   /// Adds a streaming request with \p remaining Mb left, buffer capacity
@@ -55,9 +59,8 @@ class Fixture {
       ref.set_allocation(dt, 0.0);
       now_ = std::max(now_, dt);
     }
-    ref.active_index = active_.size();  // normally maintained by Server
+    server_.attach(ref);  // slot active_index, as in the engine
     requests_.push_back(std::move(request));
-    active_.push_back(&ref);
     return ref;
   }
 
@@ -70,13 +73,16 @@ class Fixture {
   }
 
   Seconds now() const { return now_; }
-  const std::vector<Request*>& active() const { return active_; }
+  Server& server() { return server_; }
+  const std::vector<Request*>& active() const {
+    return server_.active_requests();
+  }
 
  private:
   RequestId next_id_ = 1;
   Seconds now_ = 0.0;
   std::vector<std::unique_ptr<Request>> requests_;
-  std::vector<Request*> active_;
+  Server server_{0, 1000.0, 1e12};  // room for 333 streams at kView
 };
 
 // ---------------------------------------------------------------- EFTF
@@ -221,6 +227,35 @@ TEST(SchedulerFactory, RoundTripNames) {
   EXPECT_THROW(scheduler_kind_from_string("nope"), std::invalid_argument);
 }
 
+// The schedulers read per-stream state from the server's lane, so a
+// candidate vector that is not a server's active list is refused rather
+// than silently computed some other way.
+TEST(SchedulerFactory, AllocateRejectsCandidatesOffAServersActiveList) {
+  Fixture fx;
+  fx.add(1000.0);
+  Request& second = fx.add(2000.0);
+  fx.sync();
+  Request unattached(99, make_video(0, 600.0), 0.0, ClientProfile{100.0, 30.0});
+  unattached.begin_streaming(0.0, 0);
+  const std::vector<Request*> loose{&unattached};
+  const std::vector<Request*> subset{&second};
+  for (SchedulerKind kind :
+       {SchedulerKind::kEftf, SchedulerKind::kContinuous,
+        SchedulerKind::kProportional, SchedulerKind::kLftf,
+        SchedulerKind::kIntermittent}) {
+    const auto scheduler = make_scheduler(kind);
+    std::vector<Mbps> rates;
+    EXPECT_THROW(scheduler->allocate(fx.now(), 100.0, loose, rates),
+                 std::invalid_argument)
+        << to_string(kind);
+    EXPECT_THROW(scheduler->allocate(fx.now(), 100.0, subset, rates),
+                 std::invalid_argument)
+        << to_string(kind);
+    EXPECT_NO_THROW(scheduler->allocate(fx.now(), 100.0, fx.active(), rates))
+        << to_string(kind);
+  }
+}
+
 // ------------------------------------------------- family-wide invariants
 
 struct SchedulerInvariantCase {
@@ -305,15 +340,11 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
   Rng rng(param.seed);
 
   Fixture fx;
-  std::vector<Request*> active;  // our own churnable view, like a Server's
-  auto append = [&](Request& request) {
-    request.active_index = active.size();
-    active.push_back(&request);
-  };
   for (int i = 0; i < 10; ++i) {
-    append(fx.add(rng.uniform(500.0, 5000.0), rng.uniform(50.0, 400.0), 0.0,
-                  rng.uniform(5.0, 40.0)));
+    fx.add(rng.uniform(500.0, 5000.0), rng.uniform(50.0, 400.0), 0.0,
+           rng.uniform(5.0, 40.0));
   }
+  const std::vector<Request*>& active = fx.active();
 
   SchedCache cache;  // persists across rounds, like ServerRecomputeState
   AllocationScratch cached_scratch;
@@ -327,18 +358,15 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
     now += rng.uniform(0.1, 5.0);
     for (Request* request : active) request->advance(now);
 
-    // Churn: like Server::detach, departures swap-with-last and fix the
-    // moved request's active_index — exactly the invalidation pattern the
+    // Churn: Server::detach swaps the last request into the departed slot
+    // and fixes its active_index — exactly the invalidation pattern the
     // cache validates against.
     if (active.size() > 2 && rng.uniform() < 0.3) {
-      const std::size_t victim = rng.uniform_int(active.size());
-      active[victim] = active.back();
-      active[victim]->active_index = victim;
-      active.pop_back();
+      fx.server().detach(*active[rng.uniform_int(active.size())]);
     }
     if (rng.uniform() < 0.3) {
-      append(fx.add(rng.uniform(500.0, 5000.0), rng.uniform(50.0, 400.0), 0.0,
-                    rng.uniform(5.0, 40.0)));
+      fx.add(rng.uniform(500.0, 5000.0), rng.uniform(50.0, 400.0), 0.0,
+             rng.uniform(5.0, 40.0));
       active.back()->advance(now);
     }
 

@@ -231,7 +231,8 @@ TEST(DomainSchedule, LegacyScheduleUnchangedWhenDomainsOff) {
   config.correlated.group_size = 2;
 
   Rng legacy_rng(42);
-  const auto legacy = generate_fault_schedule(config, 6, hours(50), legacy_rng);
+  const auto legacy = generate_fault_schedule(
+      config, Topology(TopologyConfig{}, 6), hours(50), legacy_rng);
 
   Rng domain_rng(42);
   const Topology topology = test_tree(6, 3, 2);
