@@ -162,10 +162,11 @@ void FluidLane::bind_views(unsigned char* base, std::size_t capacity) {
   playback_end_ = views[7];
   playing_ = views[8];
   receive_bandwidth_ = views[9];
+  urgent_ = views[10];
   for (std::size_t k = 0; k < kPredictionKinds; ++k) {
-    prediction_time_[k] = views[10 + k];
+    prediction_time_[k] = views[11 + k];
     prediction_seq_[k] = reinterpret_cast<std::uint64_t*>(
-        base + (10 + kPredictionKinds + k) * capacity * 8);
+        base + (11 + kPredictionKinds + k) * capacity * 8);
   }
 }
 
@@ -205,6 +206,7 @@ void FluidLane::append(const Request& request) {
   playback_end_[i] = request.playback_end();
   playing_[i] = request.viewing_paused() ? 0.0 : 1.0;
   receive_bandwidth_[i] = request.receive_bandwidth();
+  urgent_[i] = request.workahead_urgent ? 1.0 : 0.0;
   for (std::size_t k = 0; k < kPredictionKinds; ++k) {
     prediction_time_[k][i] = kNoPrediction;
     prediction_seq_[k][i] = 0;
@@ -232,6 +234,7 @@ void FluidLane::swap_remove(std::size_t index) {
   playback_end_[index] = playback_end_[last];
   playing_[index] = playing_[last];
   receive_bandwidth_[index] = receive_bandwidth_[last];
+  urgent_[index] = urgent_[last];
   for (std::size_t k = 0; k < kPredictionKinds; ++k) {
     if (prediction_time_[k][index] != kNoPrediction) --live_[k];
     prediction_time_[k][index] = prediction_time_[k][last];

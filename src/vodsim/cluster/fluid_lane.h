@@ -30,8 +30,8 @@
 /// scattered heap allocations (the "gather tax" the PR 6 SoA split paid).
 /// The hot block leads with the three kernel-mutated arrays (last-update,
 /// remaining, buffer level), then the six kernel-read parameters; the cold
-/// tail holds the receive bandwidth, read only by workahead eligibility,
-/// and the stored predictions.
+/// tail holds the receive bandwidth and the intermittent scheduler's
+/// urgency latch, read only by the schedulers, and the stored predictions.
 ///
 /// Predictions: each slot keeps the engine's three predicted events
 /// (transmission complete, buffer full, buffer low) as event-queue keys
@@ -44,8 +44,9 @@
 ///
 /// Formulas: every per-stream quantity of the fluid model — the advance
 /// step, the metering-window clip, buffer full/headroom/cover, drain rate,
-/// minimum rate, workahead eligibility, projected finish and the three
-/// predicted times — is one inline function in `fluid_detail` below. The
+/// minimum rate, workahead eligibility, projected finish, the three
+/// predicted times and the intermittent scheduler's urgency latch and
+/// absorption cap — is one inline function in `fluid_detail` below. The
 /// batch kernels (fluid_lane.cpp) call them in their loop bodies, the
 /// per-slot accessors and the Request accessors call them on one stream,
 /// and Metrics calls the clip; no other copy exists. The functions are
@@ -134,6 +135,41 @@ inline bool workahead_eligible(Megabits level, Megabits capacity,
                                Megabits remaining) {
   return !buffer_full(level, capacity) && receive_bandwidth > view_bandwidth &&
          !finished(remaining);
+}
+
+/// Tolerance on the intermittent scheduler's staged-cover comparisons
+/// (seconds); at least the buffer-level tolerance in playback time.
+inline constexpr Seconds kCoverTolerance = 1e-6;
+
+/// Smoothing horizon of the intermittent scheduler's absorption cap
+/// (seconds).
+inline constexpr Seconds kAbsorptionHorizon = 10.0;
+
+/// The intermittent scheduler's urgency latch (1.0 urgent, 0.0 not) after
+/// a pass that sees \p cover seconds staged: set at or below
+/// \p safety_cover, cleared at twice it, held in between. The hysteresis
+/// keeps a stream hovering at the threshold from flipping between fed and
+/// starved every fluid instant. The engine's buffer-low wake-up fires when
+/// cover *reaches* the threshold, so the set test includes equality, up to
+/// kCoverTolerance.
+inline double urgency_latch(double urgent, Seconds cover,
+                            Seconds safety_cover) {
+  return cover <= safety_cover + kCoverTolerance ? 1.0
+         : cover >= 2.0 * safety_cover           ? 0.0
+                                                 : urgent;
+}
+
+/// Highest rate the intermittent scheduler grants a stream: its drain rate
+/// plus enough to fill the headroom in kAbsorptionHorizon seconds, clipped
+/// to the receive bandwidth. Without the horizon term a near-full buffer
+/// would flip between "full -> 0 Mb/s" and "hairline below full -> receive
+/// cap" every few nanoseconds of simulated time (fluid-model chattering);
+/// with it the grant converges smoothly to the drain rate as the buffer
+/// fills, and buffer-full predictions stay at least ~kAbsorptionHorizon
+/// apart.
+inline Mbps absorption_cap(Mbps drain, Megabits headroom,
+                           Mbps receive_bandwidth) {
+  return std::min(receive_bandwidth, drain + headroom / kAbsorptionHorizon);
 }
 
 /// EFTF/LFTF ordering key: when the transmission would finish if sent at
@@ -301,6 +337,30 @@ class FluidLane {
         playback_end_[i], view_bandwidth_[i]);
   }
 
+  // Per-slot fluid_detail formulas for the intermittent scheduler's walks.
+  bool buffer_full(std::size_t i) const {
+    return fluid_detail::buffer_full(buffer_level_[i], buffer_capacity_[i]);
+  }
+  Seconds buffer_cover(std::size_t i) const {
+    return fluid_detail::buffer_cover(buffer_level_[i], view_bandwidth_[i]);
+  }
+  Mbps drain_rate(std::size_t i, Seconds now) const {
+    return fluid_detail::drain_rate(now, arrival_[i], playback_end_[i],
+                                    view_bandwidth_[i], playing_[i]);
+  }
+  Mbps absorption_cap(std::size_t i, Seconds now) const {
+    return fluid_detail::absorption_cap(
+        drain_rate(i, now),
+        fluid_detail::buffer_headroom(buffer_level_[i], buffer_capacity_[i]),
+        receive_bandwidth_[i]);
+  }
+
+  /// Slot \p i's urgency latch (fluid_detail::urgency_latch), 1.0 or 0.0.
+  /// Appended from Request::workahead_urgent; the intermittent scheduler
+  /// writes both on a flip, so the request carries it across migration.
+  double urgent(std::size_t i) const { return urgent_[i]; }
+  void set_urgent(std::size_t i, double urgent) { urgent_[i] = urgent; }
+
   /// Slot \p i's EFTF/LFTF sort key at \p now.
   Seconds projected_finish(std::size_t i, Seconds now) const {
     return fluid_detail::projected_finish(now, remaining_[i],
@@ -414,7 +474,7 @@ class FluidLane {
       std::numeric_limits<Seconds>::infinity();
 
   /// Number of parallel arrays in the arena (hot-to-cold order below).
-  static constexpr std::size_t kArrays = 10 + 2 * kPredictionKinds;
+  static constexpr std::size_t kArrays = 11 + 2 * kPredictionKinds;
 
   void drop_earliest(std::size_t i, Prediction kind) {
     if (earliest_.slot == i && earliest_.kind == kind) {
@@ -472,8 +532,10 @@ class FluidLane {
   /// double so the formulas apply it as a multiply and the kernel loops
   /// stay free of mixed-width loads that block vectorization.
   double* playing_ = nullptr;
-  // Cold tail: read only by workahead eligibility, never by the kernels.
+  // Cold tail: read only by the schedulers, never by the kernels.
   double* receive_bandwidth_ = nullptr;
+  /// Intermittent-scheduler urgency latch, 1.0/0.0.
+  double* urgent_ = nullptr;
   /// Stored prediction keys, indexed by Prediction.
   double* prediction_time_[kPredictionKinds] = {};
   std::uint64_t* prediction_seq_[kPredictionKinds] = {};

@@ -159,6 +159,7 @@ class Request {
   /// otherwise. The schedulers check through it that their candidate
   /// vector is a server's active list (sched_detail::lane_view).
   const FluidLane* lane() const { return lane_; }
+  FluidLane* lane() { return lane_; }
 
   /// Handle of the pending end-of-playback event (engine-managed). The
   /// predicted events (transmission complete, buffer full, buffer low) live
@@ -169,11 +170,11 @@ class Request {
   /// enables O(1) removal).
   std::size_t active_index = 0;
 
-  /// Hysteresis latch for the intermittent scheduler: set when staged cover
-  /// falls below the safety threshold, cleared only once it recovers past
-  /// twice the threshold. Without the latch, a stream hovering exactly at
-  /// the threshold flips between fed and starved every fluid instant
-  /// (scheduler-managed, like active_index).
+  /// Hysteresis latch for the intermittent scheduler
+  /// (fluid_detail::urgency_latch). While attached, the scheduler reads the
+  /// lane's copy and writes both on a flip, so this one is always current
+  /// and carries the latch across migration (scheduler-managed, like
+  /// active_index).
   bool workahead_urgent = false;
 
   /// Interruption-dedupe key (FailureConfig::glitch_dedupe_window): index

@@ -9,6 +9,11 @@ namespace {
 // Bandwidth comparisons tolerate fluid-model rounding: one part in 1e9 of a
 // megabit per second.
 constexpr Mbps kBandwidthTolerance = 1e-9;
+
+// Ceiling on the first attach's reservation (slots in the active list and
+// the lane arena, ~150 B each). The reserve only saves regrowth; a server
+// busier than this still grows by doubling.
+constexpr std::size_t kMaxInitialReserve = std::size_t{1} << 14;
 }  // namespace
 
 Server::Server(ServerId id, Mbps bandwidth, Megabits storage)
@@ -58,8 +63,11 @@ void Server::attach(Request& request, bool enforce_capacity) {
   if (active_.capacity() == active_.size()) {
     // Reserve for as many streams as the link can carry at this view rate
     // (plus slack for buffer-aware over-commitment), so steady-state
-    // attach/detach churn never reallocates.
-    const double fit = bandwidth_ / std::max(request.view_bandwidth(), 1e-9);
+    // attach/detach churn never reallocates. The fit is clipped in double
+    // before the conversion, which a huge link would overflow.
+    const double fit =
+        std::min(bandwidth_ / std::max(request.view_bandwidth(), 1e-9),
+                 static_cast<double>(kMaxInitialReserve));
     const std::size_t want = std::max(
         {active_.size() * 2, static_cast<std::size_t>(fit) + 8, std::size_t{16}});
     active_.reserve(want);

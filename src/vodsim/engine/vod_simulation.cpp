@@ -352,11 +352,7 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
 
   request.begin_streaming(now, decision.server);
   attach_to(decision.server, request);
-  request.playback_end_event =
-      sim_.schedule_at(request.playback_end(), [this, &request](Seconds) {
-        request.playback_end_event = kInvalidEventId;
-        on_playback_end(request);
-      });
+  schedule_playback_end(request);
   recompute_server(decision.server);
   if (config_.interactivity.enabled) schedule_next_pause(request);
 }
@@ -472,6 +468,14 @@ void VodSimulation::on_buffer_low(Request& request) {
   note(TraceEventType::kBufferLow, kTraceBuffer, request.server(), request.id(),
        request.video_id(), request.buffer_level());
   recompute_server(request.server());
+}
+
+void VodSimulation::schedule_playback_end(Request& request) {
+  request.playback_end_event =
+      sim_.schedule_at(request.playback_end(), [this, &request](Seconds) {
+        request.playback_end_event = kInvalidEventId;
+        on_playback_end(request);
+      });
 }
 
 void VodSimulation::on_playback_end(Request& request) {
@@ -828,11 +832,7 @@ void VodSimulation::process_retries(bool force) {
              request.id(), entry.video, static_cast<double>(entry.attempts));
         request.begin_streaming(now, decision.server);
         attach_to(decision.server, request);
-        request.playback_end_event =
-            sim_.schedule_at(request.playback_end(), [this, &request](Seconds) {
-              request.playback_end_event = kInvalidEventId;
-              on_playback_end(request);
-            });
+        schedule_playback_end(request);
         recompute_server(decision.server);
         if (config_.interactivity.enabled) schedule_next_pause(request);
       }
@@ -1096,11 +1096,7 @@ void VodSimulation::on_resume(Request& request) {
   note(TraceEventType::kResume, kTraceLifecycle, request.server(), request.id(),
        request.video_id(), request.buffer_level());
 
-  request.playback_end_event =
-      sim_.schedule_at(request.playback_end(), [this, &request](Seconds) {
-        request.playback_end_event = kInvalidEventId;
-        on_playback_end(request);
-      });
+  schedule_playback_end(request);
 
   if (request.state() == RequestState::kStreaming) {
     recompute_server(request.server());

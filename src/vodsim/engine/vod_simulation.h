@@ -166,6 +166,9 @@ class VodSimulation {
   void on_tx_complete(Request& request);
   void on_buffer_full(Request& request);
   void on_buffer_low(Request& request);
+  /// Schedules \p request's end-of-playback event at its current
+  /// playback_end and keeps the handle (cancelled by a pause).
+  void schedule_playback_end(Request& request);
   void on_playback_end(Request& request);
   void apply_fault(const FaultTransition& event);
   void recover_streams_of_failed_server(Server& server);

@@ -24,12 +24,14 @@
 /// byte-identical to the full-resort path.
 ///
 /// Lifetime. A SchedCache belongs to one server (the engine keeps one per
-/// ServerRecomputeState) and stores raw Request pointers; the owner must
-/// guarantee requests outlive the cache (the engine's request arena is
-/// stable for the whole run). Entries are validated lazily against the
-/// current candidate set — detached, finished, migrated or newly-ineligible
-/// requests simply drop out — so no invalidation hooks are needed anywhere
-/// in the engine.
+/// ServerRecomputeState) and stores (slot, Request*) pairs. An entry is
+/// valid while the request still sits at that slot of the active list and
+/// is a current candidate; the check compares the pointer with active[slot]
+/// and never dereferences it (the engine's request arena is stable for the
+/// whole run, so a pointer is never reused). Detached, finished, migrated,
+/// newly-ineligible or swap-moved requests simply drop out (a moved one
+/// re-enters as a leftover and the repair pass places it), so no
+/// invalidation hooks are needed anywhere in the engine.
 
 #include <vector>
 
@@ -43,9 +45,15 @@ struct AllocationScratch;
 /// Persistent ordering state for one server. Default-constructed = cold
 /// (first pass falls back to a full sort, then the cache is warm).
 struct SchedCache {
+  /// One request of the remembered order and the slot it held then.
+  struct Entry {
+    std::size_t slot;
+    const Request* request;
+  };
+
   /// The grant order produced by the previous allocation pass, most
   /// urgent first (earliest projected finish for EFTF; latest for LFTF).
-  std::vector<Request*> grant_order;
+  std::vector<Entry> grant_order;
 
   void clear() { grant_order.clear(); }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cfloat>
 
 #include "vodsim/sched/finish_order.h"
 
@@ -12,39 +13,18 @@ IntermittentScheduler::IntermittentScheduler(Seconds safety_cover)
   assert(safety_cover >= 0.0);
 }
 
-namespace {
-
-/// Smoothing horizon for the absorption cap (seconds).
-constexpr Seconds kAbsorptionHorizon = 10.0;
-
-/// Tolerance on staged-cover comparisons (seconds); must be at least the
-/// engine's buffer-level tolerance expressed in playback time.
-constexpr Seconds kCoverTolerance = 1e-6;
-
-/// Highest rate the client can usefully absorb over the smoothing horizon:
-/// its drain rate plus enough to fill the remaining headroom in
-/// kAbsorptionHorizon seconds. Without this cap a near-full viewing buffer
-/// would flip between "full -> 0 Mb/s" and "hairline below full -> receive
-/// cap" every few nanoseconds of simulated time (fluid-model chattering);
-/// with it, the grant converges smoothly to the drain rate as the buffer
-/// fills, and buffer-full predictions stay at least ~kAbsorptionHorizon
-/// apart.
-Mbps absorption_cap(const Request& request, Seconds now) {
-  return request.drain_rate(now) +
-         request.buffer_headroom() / kAbsorptionHorizon;
-}
-
-}  // namespace
-
 void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
                                      const std::vector<Request*>& active,
                                      std::vector<Mbps>& rates,
                                      AllocationScratch& scratch,
                                      SchedCache* cache) const {
-  // The per-stream reads below go through Request accessors, which read
-  // the same lane slots; check the candidate vector is that lane up front.
-  (void)sched_detail::lane_view(active);
+  // Every per-stream input is a lane slot; a Request is dereferenced only
+  // to mirror a latch flip and on an exact sort-key tie (the id tie-break).
+  FluidLane* const lane_ptr = sched_detail::mutable_lane_view(active);
   rates.assign(active.size(), 0.0);
+  if (lane_ptr == nullptr) return;
+  FluidLane& lane = *lane_ptr;
+  const std::size_t n = lane.size();
   Mbps left = capacity;
 
   // Phase 1 — safety. A fluid model chatters if an urgent stream is fed
@@ -58,32 +38,25 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
   std::vector<std::size_t>& urgent = scratch.aux;
   urgent.clear();
   Mbps urgent_drain = 0.0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    Request& request = *active[i];
-    const Mbps drain = request.drain_rate(now);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Mbps drain = lane.drain_rate(i, now);
     if (drain <= 0.0) continue;  // paused or past the end: nothing to protect
-    // Hysteresis: latch urgency below the safety threshold, release only
-    // after recovering to twice the threshold. A knife-edge membership test
-    // would chatter (fed -> above threshold -> starved -> below -> ...).
-    const Seconds cover =
-        request.buffer_cover();
-    // The engine's buffer-low wake-up fires when cover *reaches* the
-    // threshold (and then stops waking, trusting the scheduler), so the
-    // latch must engage at equality too — hence the tolerance.
-    const bool was_urgent = request.workahead_urgent;
-    if (cover <= safety_cover_ + kCoverTolerance) {
-      request.workahead_urgent = true;
-    } else if (cover >= 2.0 * safety_cover_) {
-      request.workahead_urgent = false;
+    const Seconds cover = lane.buffer_cover(i);
+    const double latch =
+        fluid_detail::urgency_latch(lane.urgent(i), cover, safety_cover_);
+    if (latch != lane.urgent(i)) {
+      lane.set_urgent(i, latch);
+      Request& request = *active[i];
+      request.workahead_urgent = latch != 0.0;
+      if (trace_ != nullptr && trace_->wants(kTraceSched)) {
+        trace_->record(now,
+                       request.workahead_urgent ? TraceEventType::kUrgentOn
+                                                : TraceEventType::kUrgentOff,
+                       request.server(), request.id(), request.video_id(),
+                       cover);
+      }
     }
-    if (request.workahead_urgent != was_urgent && trace_ != nullptr &&
-        trace_->wants(kTraceSched)) {
-      trace_->record(now,
-                     request.workahead_urgent ? TraceEventType::kUrgentOn
-                                              : TraceEventType::kUrgentOff,
-                     request.server(), request.id(), request.video_id(), cover);
-    }
-    if (request.workahead_urgent) {
+    if (latch != 0.0) {
       urgent.push_back(i);
       urgent_drain += drain;
     }
@@ -92,47 +65,71 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
   if (urgent_drain > left) {
     // Crunch: continuity is already at risk; ration proportionally.
     for (std::size_t index : urgent) {
-      const Request& request = *active[index];
-      rates[index] = left * request.drain_rate(now) / urgent_drain;
+      rates[index] = left * lane.drain_rate(index, now) / urgent_drain;
     }
     return;
   }
 
   std::sort(urgent.begin(), urgent.end(), [&](std::size_t a, std::size_t b) {
-    const Megabits la = active[a]->buffer_level();
-    const Megabits lb = active[b]->buffer_level();
+    const Megabits la = lane.buffer_level(a);
+    const Megabits lb = lane.buffer_level(b);
     if (la != lb) return la < lb;
     return active[a]->id() < active[b]->id();
   });
   for (std::size_t index : urgent) {
-    const Request& request = *active[index];
-    rates[index] = request.drain_rate(now);
+    rates[index] = lane.drain_rate(index, now);
     left -= rates[index];
   }
   // Refill boost, most-starved first.
   for (std::size_t index : urgent) {
     if (left <= 0.0) break;
-    const Request& request = *active[index];
-    if (request.buffer_full()) continue;
-    const Mbps cap = std::min(request.receive_bandwidth(),
-                              absorption_cap(request, now));
-    const Mbps grant = std::min(left, cap - rates[index]);
+    if (lane.buffer_full(index)) continue;
+    const Mbps grant =
+        std::min(left, lane.absorption_cap(index, now) - rates[index]);
     if (grant <= 0.0) continue;
     rates[index] += grant;
     left -= grant;
   }
 
   // Phase 2 — greedy workahead, earliest projected finish first, bounded by
-  // what each client can absorb.
+  // what each client can absorb. A candidate's room, cap - rate, is its
+  // grant when nothing clips it; demand sums the positive ones.
   if (left <= 0.0) return;
   std::vector<std::size_t>& order = scratch.order;
+  std::vector<Mbps>& room = scratch.room;
   order.clear();
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const Request& request = *active[i];
-    if (request.buffer_full()) continue;
-    if (rates[i] >= request.receive_bandwidth()) continue;
+  room.resize(n);
+  Mbps demand = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (lane.buffer_full(i)) continue;
+    if (rates[i] >= lane.receive_bandwidth(i)) continue;
     order.push_back(i);
+    room[i] = lane.absorption_cap(i, now) - rates[i];
+    if (room[i] > 0.0) demand += room[i];
   }
+
+  // Fits-all shortcut. The sorted walk below grants each candidate
+  // min(left_k, room) from the running residue left_k, so when every
+  // left_k >= room the grant is room itself and the order changes no bit.
+  // With u = DBL_EPSILON / 2 and m = order.size(): each left_k is one
+  // rounded subtraction more than left_{k-1}, and every residue lies in
+  // [0, left], so |left_k - exact_k| <= k·u·left, where exact_k is left
+  // minus the exact sum of the first k rooms. The recursive sum gives
+  // demand >= D·(1 - m·u), D being the exact sum of all rooms. So
+  // left_{k-1} >= room_k in every order once left - D >= m·u·left, and
+  // left_{k-1} > 0 whenever room_k > 0, so the walk never breaks early.
+  // The test below demands 4(m+2)·u·(left + demand), which covers both
+  // error terms and the rounding of the test itself. It holds on almost
+  // every pass of an unsaturated server, and then the O(m log m) sort is
+  // skipped; the grants are the same room values the walk would add.
+  if (left - demand > 2.0 * static_cast<double>(order.size() + 2) *
+                          DBL_EPSILON * (left + demand)) {
+    for (const std::size_t index : order) {
+      if (room[index] > 0.0) rates[index] += room[index];
+    }
+    return;
+  }
+
   // Cache-seeded repair of the previous workahead order (phase 1's urgent
   // sort keys on buffer level, which reshuffles every pass over a small set
   // — not worth caching; this one is the per-event O(n log n) resort).
@@ -141,10 +138,7 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
                                          scratch, cache);
   for (std::size_t index : order) {
     if (left <= 0.0) break;
-    const Request& request = *active[index];
-    const Mbps cap = std::min(request.receive_bandwidth(),
-                              absorption_cap(request, now));
-    const Mbps grant = std::min(left, cap - rates[index]);
+    const Mbps grant = std::min(left, room[index]);
     if (grant <= 0.0) continue;
     rates[index] += grant;
     left -= grant;

@@ -20,6 +20,15 @@
 /// nominal commitments exceed its link (buffer-aware admission): in a
 /// crunch, phase 1 is clipped and playback continuity violations become
 /// possible — the engine counts them.
+///
+/// Like the other schedulers it reads every per-stream input from the
+/// server's FluidLane: drain, cover, headroom and the absorption cap are
+/// fluid_detail formulas, and the urgency latch is a lane slot (mirrored
+/// into Request::workahead_urgent on a flip, so it survives migration).
+/// When the slack covers every workahead candidate's full grant — almost
+/// every pass on an unsaturated server — the grant order cannot matter,
+/// and phase 2 grants in slot order without sorting (the rounding margin
+/// is proved in intermittent.cpp). The result is bit-identical either way.
 
 #include "vodsim/sched/scheduler.h"
 

@@ -54,12 +54,11 @@ std::string to_string(SchedulerKind kind) {
 
 namespace sched_detail {
 
-// Declared in scheduler.h: shared with finish_order.cpp's sort keys. The
-// doc comment lives on the declaration.
-const FluidLane& lane_view(const std::vector<Request*>& active) {
-  static const FluidLane kNoStreams;
-  if (active.empty()) return kNoStreams;
-  const FluidLane* lane = active.front()->lane();
+// Declared in scheduler.h: shared with finish_order.cpp's sort keys and
+// the intermittent scheduler. The doc comments live on the declarations.
+FluidLane* mutable_lane_view(const std::vector<Request*>& active) {
+  if (active.empty()) return nullptr;
+  FluidLane* const lane = active.front()->lane();
   if (lane == nullptr || lane->size() != active.size() ||
       active.front()->active_index != 0 || active.back()->lane() != lane ||
       active.back()->active_index != active.size() - 1) {
@@ -72,7 +71,13 @@ const FluidLane& lane_view(const std::vector<Request*>& active) {
            "lane-backed candidate vector out of slot order");
   }
 #endif
-  return *lane;
+  return lane;
+}
+
+const FluidLane& lane_view(const std::vector<Request*>& active) {
+  static const FluidLane kNoStreams;
+  const FluidLane* const lane = mutable_lane_view(active);
+  return lane != nullptr ? *lane : kNoStreams;
 }
 
 Mbps assign_minimum_flow(Mbps capacity, const std::vector<Request*>& active,
@@ -91,10 +96,10 @@ void eligible_indices(const std::vector<Request*>& active,
 void distribute_greedy(Mbps slack, const std::vector<std::size_t>& order,
                        const std::vector<Request*>& active,
                        std::vector<Mbps>& rates) {
+  const FluidLane& lane = lane_view(active);
   for (std::size_t index : order) {
     if (slack <= 0.0) break;
-    const Request& request = *active[index];
-    const Mbps room = request.receive_bandwidth() - rates[index];
+    const Mbps room = lane.receive_bandwidth(index) - rates[index];
     if (room <= 0.0) continue;
     const Mbps grant = std::min(slack, room);
     rates[index] += grant;

@@ -41,6 +41,8 @@ struct AllocationScratch {
   std::vector<std::size_t> aux;    ///< second working set (water-filling pool,
                                    ///< urgent list, ...)
   std::vector<Seconds> keys;       ///< projected-finish keys, by active index
+  std::vector<Mbps> room;          ///< intermittent phase-2 unclipped grants,
+                                   ///< by active index
   std::vector<std::uint8_t> in_candidates;  ///< membership flags for seeding
                                             ///< from a SchedCache
 };
@@ -135,10 +137,14 @@ namespace sched_detail {
 /// endpoints do not match a lane (unattached requests, a subset of a
 /// server's list); the check is O(1), and Debug builds also assert every
 /// slot, which catches a reordered list. Every scheduler
-/// reads its per-stream inputs through this lane (or through Request
-/// accessors that read the same slot), so allocate() inherits the
-/// precondition.
+/// reads its per-stream inputs through this lane, so allocate() inherits
+/// the precondition.
 const FluidLane& lane_view(const std::vector<Request*>& active);
+
+/// lane_view for a scheduler that keeps per-slot state in the lane (the
+/// intermittent scheduler's urgency latch): the same checks, but the
+/// server's lane is returned writable, and null for an empty vector.
+FluidLane* mutable_lane_view(const std::vector<Request*>& active);
 
 /// Gives every request its minimum rate (fluid_detail::minimum_rate);
 /// returns the remaining slack. Asserts the commitments fit in capacity.

@@ -282,6 +282,37 @@ TEST(Server, TotalAttachedCounts) {
   EXPECT_EQ(server.total_attached(), 2u);
 }
 
+// The first attach reserves room for as many streams as the link carries at
+// the view rate, plus 8, so steady churn never regrows. A huge nominal link
+// is capped: 1e9 Mb/s at 3 Mb/s would otherwise reserve ~3.3e8 slots
+// (~43 GB) and throw std::bad_alloc.
+TEST(Server, FirstAttachReservationIsCapped) {
+  ClientProfile client{0.0, 3.0};
+  Server huge(0, 1e9, 1e6);
+  Request request(1, make_video(0), 0.0, client);
+  request.begin_streaming(0.0, 0);
+  ASSERT_NO_THROW(huge.attach(request));
+  EXPECT_EQ(huge.active_requests().capacity(), (std::size_t{1} << 14) + 8);
+  EXPECT_EQ(huge.lane().size(), 1u);
+  EXPECT_EQ(huge.active_requests()[request.active_index], &request);
+
+  // The paper's servers (100 Mb/s at 3 Mb/s) and a 1500 Mb/s server at
+  // 1.5 Mb/s keep their exact fit.
+  const struct {
+    Mbps link;
+    Mbps view;
+    std::size_t reserve;
+  } realistic[] = {{100.0, 3.0, 33 + 8}, {300.0, 3.0, 100 + 8},
+                   {1500.0, 1.5, 1000 + 8}};
+  for (const auto& c : realistic) {
+    Server server(1, c.link, 1e6);
+    Request r(2, make_video(0, 600.0, c.view), 0.0, client);
+    r.begin_streaming(0.0, 1);
+    server.attach(r);
+    EXPECT_EQ(server.active_requests().capacity(), c.reserve) << c.link;
+  }
+}
+
 // ---------------------------------------------------------------- fluid lane
 
 // The batched kernel must be BIT-identical per stream to the per-stream
